@@ -1,6 +1,6 @@
 //! Criterion benches: small-scale versions of the paper's experiments,
 //! one group per figure, so `cargo bench` exercises every code path the
-//! figure binaries use (full-scale numbers come from the binaries).
+//! experiments use (full-scale numbers come from `exp <experiment>`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbm_bench::run_one;

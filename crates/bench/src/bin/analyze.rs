@@ -18,6 +18,7 @@
 //! `PATH/<workload>.json`).
 
 use pbm_analyze::{analyze, AnalyzeConfig, Suppression};
+use pbm_bench::cli::{self, die, CliError, Flags};
 use pbm_workloads::apps::{self, AppParams};
 use pbm_workloads::commit;
 use pbm_workloads::micro::{self, MicroParams};
@@ -33,50 +34,39 @@ struct Args {
     app_ops: usize,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: None,
-        suppressions: Vec::new(),
-        json: None,
-        micro_threads: 4,
-        micro_ops: 16,
-        app_ops: 600,
+const FLAGS: &[&str] = &[
+    "--workloads=",
+    "--suppress=",
+    "--json",
+    "--json=",
+    "--micro-threads=",
+    "--micro-ops=",
+    "--app-ops=",
+];
+
+fn parse_args(args: &[String]) -> Result<Args, CliError> {
+    let f = Flags::parse("analyze", FLAGS, args)?;
+    let json = match f.path("--json=")? {
+        Some(dir) => Some(Some(dir)),
+        None => f.switch("--json").then_some(None),
     };
-    for arg in std::env::args().skip(1) {
-        let bad = |what: &str| -> ! {
-            eprintln!("error: bad value in {what:?}");
-            std::process::exit(2);
-        };
-        if let Some(v) = arg.strip_prefix("--workloads=") {
-            args.workloads = Some(v.split(',').map(str::to_string).collect());
-        } else if let Some(v) = arg.strip_prefix("--suppress=") {
-            match Suppression::parse(v) {
-                Ok(s) => args.suppressions.push(s),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        } else if arg == "--json" {
-            args.json = Some(None);
-        } else if let Some(v) = arg.strip_prefix("--json=") {
-            args.json = Some(Some(PathBuf::from(v)));
-        } else if let Some(v) = arg.strip_prefix("--micro-threads=") {
-            args.micro_threads = v.parse().unwrap_or_else(|_| bad(&arg));
-        } else if let Some(v) = arg.strip_prefix("--micro-ops=") {
-            args.micro_ops = v.parse().unwrap_or_else(|_| bad(&arg));
-        } else if let Some(v) = arg.strip_prefix("--app-ops=") {
-            args.app_ops = v.parse().unwrap_or_else(|_| bad(&arg));
-        } else {
-            eprintln!("error: unknown argument {arg:?}");
-            std::process::exit(2);
-        }
-    }
-    args
+    Ok(Args {
+        workloads: f
+            .value("--workloads=")
+            .map(|v| v.split(',').map(str::to_string).collect()),
+        suppressions: f
+            .values("--suppress=")
+            .map(|spec| Suppression::parse(spec).map_err(CliError))
+            .collect::<Result<_, _>>()?,
+        json,
+        micro_threads: f.parsed("--micro-threads=", "a thread count")?.unwrap_or(4),
+        micro_ops: f.parsed("--micro-ops=", "an op count")?.unwrap_or(16),
+        app_ops: f.parsed("--app-ops=", "an op count")?.unwrap_or(600),
+    })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::or_exit(parse_args(&cli::args()));
     // (workload, the lint configuration it targets).
     let micro_params = MicroParams {
         threads: args.micro_threads,
@@ -99,8 +89,7 @@ fn main() {
     if let Some(names) = &args.workloads {
         targets.retain(|(wl, _)| names.iter().any(|n| n == wl.name));
         if targets.is_empty() {
-            eprintln!("error: no workload matches {names:?}");
-            std::process::exit(2);
+            die(&format!("no workload matches {names:?}"));
         }
     }
     let mut errors = 0usize;
@@ -113,15 +102,13 @@ fn main() {
             Some(None) => println!("{}", report.to_json_value(wl.name).to_json()),
             Some(Some(dir)) => {
                 if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
+                    die(&format!("cannot create {}: {e}", dir.display()));
                 }
                 let path = dir.join(format!("{}.json", wl.name));
                 let mut text = report.to_json_value(wl.name).to_json();
                 text.push('\n');
                 if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    std::process::exit(2);
+                    die(&format!("cannot write {}: {e}", path.display()));
                 }
             }
         }

@@ -16,7 +16,8 @@
 //! `--write-corpus` each shrunk reproducer is (re)written into the corpus
 //! directory, which is how `tests/corpus/*.json` are minted.
 
-use pbm_bench::runner::jobs_from_args;
+use pbm_bench::cli::{self, die, CliError, Flags};
+use pbm_bench::default_jobs;
 use pbm_check::shrink::{shrink, DEFAULT_MAX_RUNS};
 use pbm_check::{encode_case, run_campaign, CampaignConfig};
 use std::path::{Path, PathBuf};
@@ -35,55 +36,61 @@ struct Args {
     campaign: CampaignConfig,
     corpus_dir: PathBuf,
     bugs: Option<String>,
+    // Read by the injected-bug hunt only.
+    #[cfg_attr(not(feature = "bug-inject"), allow(dead_code))]
     write_corpus: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        campaign: CampaignConfig {
-            jobs: jobs_from_args(),
-            ..CampaignConfig::default()
-        },
-        corpus_dir: PathBuf::from("tests/corpus"),
-        bugs: None,
-        write_corpus: false,
+const FLAGS: &[&str] = &[
+    "--budget=",
+    "--jobs=",
+    "--seed=",
+    "--max-cases=",
+    "--ops=",
+    "--corpus-dir=",
+    "--bugs=",
+    "--write-corpus",
+];
+
+fn parse_args(args: &[String]) -> Result<Args, CliError> {
+    let f = Flags::parse("check", FLAGS, args)?;
+    let defaults = CampaignConfig::default();
+    let budget = match f.value("--budget=") {
+        None => defaults.budget,
+        Some(v) => parse_budget(v).ok_or_else(|| {
+            CliError(format!(
+                "--budget takes seconds or minutes (60s, 2m), got {v:?}"
+            ))
+        })?,
     };
-    for arg in std::env::args().skip(1) {
-        let bad = |what: &str| -> ! {
-            eprintln!("error: bad value in {what:?}");
-            std::process::exit(2);
-        };
-        if let Some(v) = arg.strip_prefix("--budget=") {
-            args.campaign.budget = parse_budget(v).unwrap_or_else(|| bad(&arg));
-        } else if let Some(v) = arg.strip_prefix("--seed=") {
-            args.campaign.seed = v.parse().unwrap_or_else(|_| bad(&arg));
-        } else if let Some(v) = arg.strip_prefix("--max-cases=") {
-            args.campaign.max_cases = Some(v.parse().unwrap_or_else(|_| bad(&arg)));
-        } else if let Some(v) = arg.strip_prefix("--ops=") {
-            args.campaign.ops_per_core = v.parse().unwrap_or_else(|_| bad(&arg));
-        } else if let Some(v) = arg.strip_prefix("--corpus-dir=") {
-            args.corpus_dir = PathBuf::from(v);
-        } else if let Some(v) = arg.strip_prefix("--bugs=") {
-            args.bugs = Some(v.to_string());
-        } else if arg == "--write-corpus" {
-            args.write_corpus = true;
-        } else if !arg.starts_with("--jobs=") {
-            eprintln!("error: unknown argument {arg:?}");
-            std::process::exit(2);
-        }
-    }
-    args
+    Ok(Args {
+        campaign: CampaignConfig {
+            jobs: f
+                .positive("--jobs=", "worker count")?
+                .unwrap_or_else(default_jobs),
+            budget,
+            seed: f.parsed("--seed=", "a seed")?.unwrap_or(defaults.seed),
+            max_cases: f.parsed("--max-cases=", "a case count")?,
+            ops_per_core: f
+                .parsed("--ops=", "an op count")?
+                .unwrap_or(defaults.ops_per_core),
+            ..defaults
+        },
+        corpus_dir: f
+            .path("--corpus-dir=")?
+            .unwrap_or_else(|| PathBuf::from("tests/corpus")),
+        bugs: f.value("--bugs=").map(String::from),
+        write_corpus: f.switch("--write-corpus"),
+    })
 }
 
 fn write_artifact(dir: &Path, name: &str, text: &str) -> PathBuf {
     if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(2);
+        die(&format!("cannot create {}: {e}", dir.display()));
     }
     let path = dir.join(format!("{name}.json"));
     if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(2);
+        die(&format!("cannot write {}: {e}", path.display()));
     }
     path
 }
@@ -102,7 +109,7 @@ fn slug(label: &str) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::or_exit(parse_args(&cli::args()));
     if let Some(spec) = &args.bugs {
         run_bugs(&args, spec);
         return;
@@ -159,10 +166,8 @@ fn run_bugs(args: &Args, spec: &str) {
     } else {
         spec.split(',')
             .map(|name| {
-                InjectedBug::from_name(name).unwrap_or_else(|| {
-                    eprintln!("error: unknown bug {name:?}");
-                    std::process::exit(2);
-                })
+                InjectedBug::from_name(name)
+                    .unwrap_or_else(|| die(&format!("unknown bug {name:?}")))
             })
             .collect()
     };
@@ -202,6 +207,5 @@ fn run_bugs(args: &Args, spec: &str) {
 
 #[cfg(not(feature = "bug-inject"))]
 fn run_bugs(_args: &Args, _spec: &str) {
-    eprintln!("error: --bugs requires building with --features bug-inject");
-    std::process::exit(2);
+    die("--bugs requires building with --features bug-inject");
 }

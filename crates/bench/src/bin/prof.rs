@@ -12,45 +12,41 @@
 //! Run: `cargo run -p pbm-bench --release --bin prof [--quick] [--jobs=N]
 //! [--bench-json=PATH] [--out-dir=DIR] [--top=K]`
 
+use pbm_bench::cli::{self, die, CliError, Flags};
 use pbm_bench::profiling::{bench_prof_doc, cell_slug, fig11_base, fig11_jobs, profile_cells};
-use pbm_bench::{jobs_from_args, print_system_header, quick_mode};
+use pbm_bench::{default_jobs, system_header};
 use pbm_prof::{flame, report};
 use std::path::PathBuf;
 
 struct Options {
+    quick: bool,
+    jobs: usize,
     bench_json: PathBuf,
     out_dir: Option<PathBuf>,
     top: usize,
 }
 
-fn options() -> Options {
-    let mut opts = Options {
-        bench_json: PathBuf::from("BENCH_prof.json"),
-        out_dir: None,
-        top: 5,
-    };
-    for arg in std::env::args().skip(1) {
-        if let Some(p) = arg.strip_prefix("--bench-json=") {
-            opts.bench_json = PathBuf::from(p);
-        } else if let Some(p) = arg.strip_prefix("--out-dir=") {
-            opts.out_dir = Some(PathBuf::from(p));
-        } else if let Some(k) = arg.strip_prefix("--top=") {
-            match k.parse() {
-                Ok(v) => opts.top = v,
-                Err(_) => die(&format!("--top takes a count, got {k:?}")),
-            }
-        } else if arg == "--quick" || arg.starts_with("--jobs=") {
-            // Parsed elsewhere.
-        } else {
-            die(&format!("unknown argument {arg:?}"));
-        }
-    }
-    opts
-}
+const FLAGS: &[&str] = &[
+    "--quick",
+    "--jobs=",
+    "--bench-json=",
+    "--out-dir=",
+    "--top=",
+];
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+fn options(args: &[String]) -> Result<Options, CliError> {
+    let f = Flags::parse("prof", FLAGS, args)?;
+    Ok(Options {
+        quick: f.switch("--quick"),
+        jobs: f
+            .positive("--jobs=", "worker count")?
+            .unwrap_or_else(default_jobs),
+        bench_json: f
+            .path("--bench-json=")?
+            .unwrap_or_else(|| PathBuf::from("BENCH_prof.json")),
+        out_dir: f.path("--out-dir=")?,
+        top: f.parsed("--top=", "a count")?.unwrap_or(5),
+    })
 }
 
 fn write(path: &PathBuf, text: &str) {
@@ -60,10 +56,10 @@ fn write(path: &PathBuf, text: &str) {
 }
 
 fn main() {
-    let opts = options();
-    let quick = quick_mode();
-    print_system_header(&fig11_base(quick));
-    let profiles = profile_cells(jobs_from_args(), fig11_jobs(quick));
+    let opts = cli::or_exit(options(&cli::args()));
+    let quick = opts.quick;
+    println!("{}", system_header(&fig11_base(quick)));
+    let profiles = profile_cells(opts.jobs, fig11_jobs(quick));
 
     println!("\n== persist-latency attribution (fig11 grid) ==");
     println!(

@@ -14,6 +14,7 @@
 //! error (including a missing `BENCH_prof.json` on either side — seed
 //! baselines by copying a fresh run into `results/baselines/`).
 
+use pbm_bench::cli::{self, die, CliError, Flags};
 use pbm_obs::json::{self, JsonValue};
 use pbm_prof::regress::{compare_prof, compare_runner, render_table, verdict_json, Comparison};
 use std::path::{Path, PathBuf};
@@ -26,41 +27,25 @@ struct Options {
     json: Option<PathBuf>,
 }
 
-fn options() -> Options {
-    let mut opts = Options {
-        baselines: PathBuf::from("results/baselines"),
-        current: PathBuf::from("."),
-        tol_cycles_pct: 0,
-        tol_wall_pct: 50,
-        json: None,
-    };
-    for arg in std::env::args().skip(1) {
-        if let Some(p) = arg.strip_prefix("--baselines=") {
-            opts.baselines = PathBuf::from(p);
-        } else if let Some(p) = arg.strip_prefix("--current=") {
-            opts.current = PathBuf::from(p);
-        } else if let Some(n) = arg.strip_prefix("--tol-cycles-pct=") {
-            opts.tol_cycles_pct = parse_pct("--tol-cycles-pct", n);
-        } else if let Some(n) = arg.strip_prefix("--tol-wall-pct=") {
-            opts.tol_wall_pct = parse_pct("--tol-wall-pct", n);
-        } else if let Some(p) = arg.strip_prefix("--json=") {
-            opts.json = Some(PathBuf::from(p));
-        } else {
-            die(&format!("unknown argument {arg:?}"));
-        }
-    }
-    opts
-}
+const FLAGS: &[&str] = &[
+    "--baselines=",
+    "--current=",
+    "--tol-cycles-pct=",
+    "--tol-wall-pct=",
+    "--json=",
+];
 
-fn parse_pct(flag: &str, value: &str) -> u64 {
-    value.parse().unwrap_or_else(|_| {
-        die(&format!("{flag} takes a percentage, got {value:?}"));
+fn options(args: &[String]) -> Result<Options, CliError> {
+    let f = Flags::parse("regress", FLAGS, args)?;
+    Ok(Options {
+        baselines: f
+            .path("--baselines=")?
+            .unwrap_or_else(|| PathBuf::from("results/baselines")),
+        current: f.path("--current=")?.unwrap_or_else(|| PathBuf::from(".")),
+        tol_cycles_pct: f.parsed("--tol-cycles-pct=", "a percentage")?.unwrap_or(0),
+        tol_wall_pct: f.parsed("--tol-wall-pct=", "a percentage")?.unwrap_or(50),
+        json: f.path("--json=")?,
     })
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }
 
 fn load(path: &Path) -> Option<JsonValue> {
@@ -72,7 +57,7 @@ fn load(path: &Path) -> Option<JsonValue> {
 }
 
 fn main() {
-    let opts = options();
+    let opts = cli::or_exit(options(&cli::args()));
     let mut comparisons: Vec<Comparison> = Vec::new();
 
     // BENCH_prof.json is the gate's core document: both sides must exist.

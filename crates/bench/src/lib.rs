@@ -1,20 +1,21 @@
-//! Experiment harness: runs (configuration x workload) matrices and prints
+//! Experiment harness: runs (configuration x workload) grids and renders
 //! the rows/series of the paper's tables and figures.
 //!
-//! Every figure binary (`fig11`, `fig12`, `fig13`, `fig14`) and ablation
-//! (`ablation_flush`, `ablation_writethrough`) is built on these helpers;
-//! see EXPERIMENTS.md at the repository root for the paper-vs-measured
-//! record they produce.
+//! Every figure and ablation is one entry of the [`experiments`] table,
+//! run by the `exp` binary (`exp fig11 --quick`); see EXPERIMENTS.md at
+//! the repository root for the paper-vs-measured record they produce.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
+pub mod experiments;
 pub mod obs;
 pub mod profiling;
 pub mod runner;
 
 pub use obs::{capture_artifacts, run_one_instrumented, ObsOptions};
-pub use runner::{default_jobs, jobs_from_args, Runner};
+pub use runner::{default_jobs, Runner};
 
 use pbm_sim::System;
 use pbm_types::{MetricSample, SimStats, SystemConfig};
@@ -49,17 +50,8 @@ pub fn run_one(cfg: SystemConfig, wl: &Workload) -> SimStats {
     sys.run()
 }
 
-/// One matrix job: `(config label, workload label, config, workload)`.
+/// One grid cell: `(config label, workload label, config, workload)`.
 pub type Job = (String, String, SystemConfig, Workload);
-
-/// Runs a labelled `(config, workload)` matrix, parallelizing across the
-/// host's cores. Results come back in input order.
-///
-/// Thin wrapper over [`Runner`] for callers that don't need `--jobs=`
-/// control, observability routing, or the wall-clock record.
-pub fn run_matrix(jobs: Vec<Job>) -> Vec<RunResult> {
-    Runner::new("matrix", default_jobs(), ObsOptions::default()).run(jobs)
-}
 
 /// Geometric mean (the paper's summary statistic for throughput and
 /// execution-time ratios).
@@ -89,48 +81,10 @@ pub fn amean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Prints a fixed-width table: header row, one row per entry, with the
-/// first column left-aligned and the rest right-aligned to 10 chars.
-pub fn print_table(title: &str, headers: &[&str], rows: &[(String, Vec<f64>)]) {
-    println!("\n== {title} ==");
-    print!("{:<12}", headers[0]);
-    for h in &headers[1..] {
-        print!("{h:>10}");
-    }
-    println!();
-    for (name, values) in rows {
-        print!("{name:<12}");
-        for v in values {
-            print!("{v:>10.3}");
-        }
-        println!();
-    }
-}
-
-/// Prints the epoch flush-latency distribution of each run that persisted
-/// at least one epoch: count, mean, and the p50/p95/p99 tail, one row per
-/// `(config, workload)` cell.
-pub fn print_flush_latency(title: &str, results: &[RunResult]) {
-    let rows: Vec<&RunResult> = results
-        .iter()
-        .filter(|r| r.stats.epoch_flush_latency.count() > 0)
-        .collect();
-    if rows.is_empty() {
-        return;
-    }
-    println!("\n== {title} ==");
-    for r in rows {
-        println!(
-            "{:<12}{:<12}{}",
-            r.config, r.workload, r.stats.epoch_flush_latency
-        );
-    }
-}
-
-/// Prints the Table 1 header (system parameters) so every experiment's
+/// The Table 1 header line (system parameters), so every experiment's
 /// output records the platform it ran on.
-pub fn print_system_header(cfg: &SystemConfig) {
-    println!(
+pub fn system_header(cfg: &SystemConfig) -> String {
+    format!(
         "# system: {} cores, {}KiB L1 x{}-way, {}x{}MiB LLC x{}-way, {} MCs, \
          NVRAM w/r {}/{} cycles, mesh {}x{}, barrier {}, model {}",
         cfg.cores,
@@ -146,12 +100,7 @@ pub fn print_system_header(cfg: &SystemConfig) {
         cfg.mesh_cols(),
         cfg.barrier,
         cfg.persistency,
-    );
-}
-
-/// True if `--quick` was passed (smaller scale for CI / smoke runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+    )
 }
 
 #[cfg(test)]
@@ -173,29 +122,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn gmean_rejects_zero() {
         let _ = gmean(&[0.0]);
-    }
-
-    #[test]
-    fn matrix_runs_in_order() {
-        use pbm_sim::ProgramBuilder;
-        use pbm_types::Addr;
-        let mut cfg = SystemConfig::small_test();
-        cfg.cores = 1;
-        let mut b = ProgramBuilder::new();
-        b.store(Addr::new(0), 1).barrier();
-        let wl = Workload {
-            name: "t",
-            programs: vec![b.build()],
-            preloads: vec![],
-        };
-        let jobs = (0..5)
-            .map(|i| (format!("c{i}"), "t".to_string(), cfg.clone(), wl.clone()))
-            .collect();
-        let results = run_matrix(jobs);
-        assert_eq!(results.len(), 5);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.config, format!("c{i}"));
-            assert_eq!(r.stats.stores, 1);
-        }
     }
 }

@@ -1,6 +1,7 @@
-//! Observability plumbing for the experiment binaries: `--trace-out=` /
-//! `--metrics-csv=` flag parsing, instrumented runs, and artifact export.
+//! Observability plumbing for the experiments: the `--trace-out=` /
+//! `--metrics-csv=` options, instrumented runs, and artifact export.
 
+use crate::cli::{die, CliError, Flags};
 use pbm_obs::{chrome, metrics_csv};
 use pbm_sim::System;
 use pbm_types::{Cycle, MetricSample, SimStats, SystemConfig, TraceEvent};
@@ -11,14 +12,14 @@ use std::path::{Path, PathBuf};
 /// `--metrics-interval` (cycles).
 pub const DEFAULT_METRICS_INTERVAL: u64 = 5_000;
 
-/// Observability knobs shared by every figure binary.
+/// Observability knobs shared by every experiment.
 ///
 /// * `--trace-out=<path>` — write a Chrome trace-event JSON (open in
 ///   Perfetto / `chrome://tracing`) for one representative cell.
 /// * `--metrics-csv=<path>` — write the periodic metrics time-series.
 /// * `--metrics-interval=<cycles>` — sampling cadence (default
 ///   [`DEFAULT_METRICS_INTERVAL`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ObsOptions {
     /// Destination for the Chrome trace-event JSON, if requested.
     pub trace_out: Option<PathBuf>,
@@ -28,29 +29,27 @@ pub struct ObsOptions {
     pub metrics_interval: u64,
 }
 
-impl ObsOptions {
-    /// Parses the observability flags out of the process arguments.
-    /// Unknown arguments are ignored (the binaries have their own).
-    pub fn from_args() -> Self {
-        let mut opts = ObsOptions {
+impl Default for ObsOptions {
+    /// No artifacts, sampling at [`DEFAULT_METRICS_INTERVAL`].
+    fn default() -> Self {
+        ObsOptions {
+            trace_out: None,
+            metrics_csv: None,
             metrics_interval: DEFAULT_METRICS_INTERVAL,
-            ..ObsOptions::default()
-        };
-        for arg in std::env::args() {
-            if let Some(p) = arg.strip_prefix("--trace-out=") {
-                opts.trace_out = Some(require_path("--trace-out", p));
-            } else if let Some(p) = arg.strip_prefix("--metrics-csv=") {
-                opts.metrics_csv = Some(require_path("--metrics-csv", p));
-            } else if let Some(n) = arg.strip_prefix("--metrics-interval=") {
-                match n.parse() {
-                    Ok(v) if v > 0 => opts.metrics_interval = v,
-                    _ => die(&format!(
-                        "--metrics-interval takes a positive cycle count, got {n:?}"
-                    )),
-                }
-            }
         }
-        opts
+    }
+}
+
+impl ObsOptions {
+    /// Reads the observability flags.
+    pub fn from_flags(flags: &Flags) -> Result<Self, CliError> {
+        Ok(ObsOptions {
+            trace_out: flags.path("--trace-out=")?,
+            metrics_csv: flags.path("--metrics-csv=")?,
+            metrics_interval: flags
+                .positive("--metrics-interval=", "cycle count")?
+                .unwrap_or(DEFAULT_METRICS_INTERVAL),
+        })
     }
 
     /// True if any artifact was requested.
@@ -61,16 +60,7 @@ impl ObsOptions {
     /// A copy whose output paths carry `-<label>` before the extension, so
     /// multi-config binaries can emit one artifact set per configuration.
     pub fn for_label(&self, label: &str) -> Self {
-        let slug: String = label
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '_'
-                }
-            })
-            .collect();
+        let slug = slug(label);
         ObsOptions {
             trace_out: self.trace_out.as_deref().map(|p| suffixed(p, &slug)),
             metrics_csv: self.metrics_csv.as_deref().map(|p| suffixed(p, &slug)),
@@ -79,16 +69,17 @@ impl ObsOptions {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn require_path(flag: &str, value: &str) -> PathBuf {
-    if value.is_empty() {
-        die(&format!("{flag} requires a file path"));
-    }
-    PathBuf::from(value)
+/// Filesystem slug of a label: lowercase alphanumerics, everything else
+/// `_`.
+pub(crate) fn slug(label: &str) -> String {
+    let safe = |c: char| {
+        if c.is_ascii_alphanumeric() {
+            c.to_ascii_lowercase()
+        } else {
+            '_'
+        }
+    };
+    label.chars().map(safe).collect()
 }
 
 fn suffixed(path: &Path, slug: &str) -> PathBuf {

@@ -2,26 +2,25 @@
 //! fig11 grid, traced per-cell runs, and the `BENCH_prof.json` document.
 //!
 //! Lives in the library (rather than the binary) so the grid is shared
-//! with `fig11` — the profiler attributes exactly the cells the figure
+//! with `exp fig11` — the profiler attributes exactly the cells the figure
 //! measures — and so the `--jobs` determinism of the whole pipeline is
 //! testable in-process. `quick` is an explicit parameter everywhere (not
 //! re-read from the environment) for the same reason.
 
+use crate::experiments::{self, quick_system, Options, QUICK_CORES};
 use crate::obs::run_one_instrumented;
 use crate::Job;
 use pbm_obs::json::JsonValue;
 use pbm_prof::{report, Profile};
-use pbm_types::{BarrierKind, PersistencyKind, SystemConfig};
-use pbm_workloads::micro::{self, MicroParams};
+use pbm_types::{PersistencyKind, SystemConfig};
+use pbm_workloads::micro::MicroParams;
 
 /// The fig11 system base: micro48 under BEP, shrunk in quick mode.
 pub fn fig11_base(quick: bool) -> SystemConfig {
     let mut base = SystemConfig::micro48();
     base.persistency = PersistencyKind::BufferedEpoch;
     if quick {
-        base.cores = 8;
-        base.llc_banks = 8;
-        base.mesh_rows = 2;
+        quick_system(&mut base);
     }
     base
 }
@@ -30,27 +29,20 @@ pub fn fig11_base(quick: bool) -> SystemConfig {
 pub fn fig11_params(quick: bool) -> MicroParams {
     let mut params = MicroParams::paper();
     if quick {
-        params.threads = 8;
+        params.threads = QUICK_CORES;
         params.ops_per_thread = 16;
     }
     params
 }
 
 /// The fig11 cell grid — every micro-benchmark under every lazy barrier
-/// variant, in figure order (workload-major, [`BarrierKind::LAZY_VARIANTS`]
-/// within each workload).
+/// variant, in figure order (workload-major,
+/// [`pbm_types::BarrierKind::LAZY_VARIANTS`] within each workload).
 pub fn fig11_jobs(quick: bool) -> Vec<Job> {
-    let params = fig11_params(quick);
-    let base = fig11_base(quick);
-    let mut jobs = Vec::new();
-    for wl in micro::all(&params) {
-        for kind in BarrierKind::LAZY_VARIANTS {
-            let mut cfg = base.clone();
-            cfg.barrier = kind;
-            jobs.push((kind.to_string(), wl.name.to_string(), cfg, wl.clone()));
-        }
-    }
-    jobs
+    let fig11 = experiments::find("fig11").expect("fig11 is in the table");
+    let mut opts = Options::default();
+    opts.quick = quick;
+    fig11.grid(&opts)
 }
 
 /// One profiled grid cell: `(config label, workload label, profile)`.
@@ -83,25 +75,16 @@ pub fn bench_prof_doc(profiles: &[ProfiledCell], quick: bool) -> JsonValue {
     )
 }
 
-/// Filesystem slug of a cell label pair (`LB++`, `queue` → `lb___queue`):
-/// lowercase alphanumerics, everything else `_` — same convention as
-/// [`crate::ObsOptions::for_label`].
+/// Filesystem slug of a cell label pair (`LB++`, `queue` → `lb___queue`),
+/// by the same convention as [`crate::ObsOptions::for_label`].
 pub fn cell_slug(config: &str, workload: &str) -> String {
-    format!("{config}_{workload}")
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
+    crate::obs::slug(&format!("{config}_{workload}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbm_types::BarrierKind;
 
     #[test]
     fn grid_matches_fig11_shape() {

@@ -1,11 +1,10 @@
 //! Parallel experiment runner: executes independent (workload, barrier,
 //! config) grid cells on a scoped worker pool.
 //!
-//! Every figure and ablation binary builds its cell grid, hands it to a
-//! [`Runner`], and prints from the returned results — which always come
-//! back in grid order, regardless of worker count, so the tables are
-//! byte-identical at any `--jobs=N`. Flags understood by every runner
-//! binary:
+//! Every experiment builds its cell grid, hands it to a [`Runner`], and
+//! renders from the returned results — which always come back in grid
+//! order, regardless of worker count, so the tables are byte-identical at
+//! any `--jobs=N`. Flags every experiment takes:
 //!
 //! * `--jobs=N` — worker threads (default: available parallelism).
 //! * `--trace-out=` / `--metrics-csv=` / `--metrics-interval=` — per-cell
@@ -30,42 +29,9 @@ pub const DEFAULT_RUNNER_JSON: &str = "BENCH_runner.json";
 /// Schema tag stamped into `BENCH_runner.json`.
 pub const RUNNER_JSON_SCHEMA: &str = "pbm-bench-runner/v1";
 
-/// Parses `--jobs=N` from the process arguments; defaults to the host's
-/// available parallelism. Exits with a diagnostic on a malformed value.
-pub fn jobs_from_args() -> usize {
-    for arg in std::env::args() {
-        if let Some(n) = arg.strip_prefix("--jobs=") {
-            match n.parse::<usize>() {
-                Ok(v) if v > 0 => return v,
-                _ => {
-                    eprintln!("error: --jobs takes a positive worker count, got {n:?}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    default_jobs()
-}
-
 /// The default worker count: the host's available parallelism.
 pub fn default_jobs() -> usize {
     thread::available_parallelism().map_or(4, usize::from)
-}
-
-fn report_path_from_args() -> Option<PathBuf> {
-    let mut path = Some(PathBuf::from(DEFAULT_RUNNER_JSON));
-    for arg in std::env::args() {
-        if arg == "--no-runner-json" {
-            path = None;
-        } else if let Some(p) = arg.strip_prefix("--runner-json=") {
-            if p.is_empty() {
-                eprintln!("error: --runner-json requires a file path");
-                std::process::exit(2);
-            }
-            path = Some(PathBuf::from(p));
-        }
-    }
-    path
 }
 
 /// A worker pool that runs experiment cells in parallel and records the
@@ -81,20 +47,12 @@ pub struct Runner {
     jobs: usize,
     obs: ObsOptions,
     report: Option<PathBuf>,
+    quick: bool,
     started: Instant,
     cells: Cell<usize>,
 }
 
 impl Runner {
-    /// A runner configured from the process arguments (`--jobs=`, the
-    /// observability flags, `--runner-json=`), recording under `binary`'s
-    /// name in `BENCH_runner.json`.
-    pub fn from_args(binary: &str) -> Self {
-        let mut r = Self::new(binary, jobs_from_args(), ObsOptions::from_args());
-        r.report = report_path_from_args();
-        r
-    }
-
     /// A runner with explicit worker count and observability options and
     /// no wall-clock record (library/test use).
     pub fn new(binary: &str, jobs: usize, obs: ObsOptions) -> Self {
@@ -104,19 +62,18 @@ impl Runner {
             jobs,
             obs,
             report: None,
+            quick: false,
             started: Instant::now(),
             cells: Cell::new(0),
         }
     }
 
-    /// The worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The observability options the runner applies per cell.
-    pub fn obs(&self) -> &ObsOptions {
-        &self.obs
+    /// Records the wall-clock in `report` (if any) on [`Runner::finish`],
+    /// as a run at quick scale if `quick`.
+    pub fn recording(mut self, report: Option<PathBuf>, quick: bool) -> Self {
+        self.report = report;
+        self.quick = quick;
+        self
     }
 
     /// Runs the cell grid on the worker pool; results in grid order.
@@ -126,7 +83,7 @@ impl Runner {
 
     /// Like [`Runner::run`], but with the metrics sampler attached at
     /// `interval`, so each result carries its sampled time series (used by
-    /// `profile_bsp` for saturation sketches).
+    /// `exp profile_bsp` for saturation sketches).
     pub fn run_sampled(&self, cells: Vec<Job>, interval: Cycle) -> Vec<RunResult> {
         self.run_cells(cells, Some(interval))
     }
@@ -158,8 +115,9 @@ impl Runner {
         })
     }
 
-    /// Records the binary's total wall-clock in `BENCH_runner.json`
-    /// (merging with — and replacing — any previous entry for the same
+    /// Records the run's total wall-clock in `BENCH_runner.json`, under the
+    /// name the runner was built with (`"binary"`: the experiment's name)
+    /// and the quick flag [`Runner::recording`] was given (merging with — and replacing — any previous entry for the same
     /// `(binary, jobs, quick)` identity) and notes it on stderr. No-op
     /// under `--no-runner-json` or when the runner was built without a
     /// report path.
@@ -180,7 +138,7 @@ impl Runner {
             ("binary".into(), JsonValue::Str(self.binary.clone())),
             ("jobs".into(), JsonValue::Num(self.jobs as u64)),
             ("cells".into(), JsonValue::Num(self.cells.get() as u64)),
-            ("quick".into(), JsonValue::Bool(crate::quick_mode())),
+            ("quick".into(), JsonValue::Bool(self.quick)),
             ("wall_ms".into(), JsonValue::Num(wall_ms)),
         ]);
         let runs: Vec<JsonValue> = std::fs::read_to_string(path)
@@ -199,8 +157,7 @@ impl Runner {
         let mut text = doc.to_json();
         text.push('\n');
         if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
+            crate::cli::die(&format!("cannot write {}: {e}", path.display()));
         }
         eprintln!(
             "# runner: {} cells in {wall_ms} ms with {} jobs -> {}",

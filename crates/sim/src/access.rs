@@ -244,16 +244,6 @@ impl System {
             MessageClass::Data,
             t,
         );
-        #[cfg(feature = "trace-loads")]
-        if !is_store && (t_resp - now).as_u64() > 500 {
-            eprintln!(
-                "  breakdown line={line} req={} pre_resp={} resp={} (now={})",
-                (t_req - now).as_u64(),
-                (t - now).as_u64(),
-                (t_resp - now).as_u64(),
-                now.as_u64(),
-            );
-        }
         if !self.l1s[i].array.contains(line) {
             if let Err(blocker) = self.l1_make_room(core, line) {
                 return self.blocked_on(blocker, FlushReason::Eviction);

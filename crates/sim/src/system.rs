@@ -649,14 +649,6 @@ impl System {
                 crate::access::Access::Done { at } => {
                     self.stats.loads += 1;
                     self.stats.load_cycles += (at - now).as_u64();
-                    #[cfg(feature = "trace-loads")]
-                    if (at - now).as_u64() > 500 {
-                        eprintln!(
-                            "slow load: core={core} line={} lat={}",
-                            addr.line(),
-                            (at - now).as_u64()
-                        );
-                    }
                     StepOutcome::Next(at)
                 }
                 crate::access::Access::Blocked { tag } => {
