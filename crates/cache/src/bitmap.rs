@@ -11,7 +11,7 @@
 /// Sets covered by one bitmap bit.
 pub const SETS_PER_BIT: usize = 64;
 
-/// Per-epoch bitmap over cache sets, one bit per [`SETS_PER_BIT`] sets.
+/// Per-epoch bitmap over cache sets, one bit per `SETS_PER_BIT` (64) sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochBitmap {
     bits: Vec<u64>,

@@ -15,8 +15,8 @@
 //!   wall-clock budget, then cross-checks barrier kinds differentially:
 //!   identical final drained NVRAM state, and the paper's §4 claim that
 //!   proactive flushing adds zero extra NVRAM writes.
-//! * [`shrink`] — minimizes a failing case to a smallest reproducing
-//!   program set (the vendored `proptest` has no shrinking).
+//! * [`shrink`](mod@shrink) — minimizes a failing case to a smallest
+//!   reproducing program set (the vendored `proptest` has no shrinking).
 //! * [`artifact`] — serializes shrunk cases as replayable JSON into
 //!   `tests/corpus/`, which the `corpus` integration test replays in CI.
 //! * [`pool`] — the scoped worker pool shared with `pbm-bench`.

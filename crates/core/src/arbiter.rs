@@ -15,9 +15,9 @@
 //! the timing layer to execute. This keeps the protocol logic exhaustively
 //! testable without a simulator.
 
-use crate::epoch::{EpochLedger, EpochState};
+use crate::epoch::EpochLedger;
 use crate::idt::{IdtOverflow, IdtRegisters};
-use pbm_types::{CoreId, EpochId, EpochTag, SystemConfig};
+use pbm_types::{CoreId, EpochId, EpochPhase, EpochTag, SystemConfig};
 
 /// What the timing layer must do on behalf of the arbiter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,12 +241,12 @@ impl EpochArbiter {
             return Vec::new();
         }
         match self.ledger.state(next) {
-            EpochState::Ongoing => {
+            EpochPhase::Ongoing => {
                 // Goal points at (or beyond) the ongoing epoch; the caller
                 // violated request_flush_upto's contract.
                 unreachable!("flush goal {goal} reaches ongoing epoch {next}")
             }
-            EpochState::Completed => {
+            EpochPhase::Completed => {
                 if !self.idt.is_clear(next) {
                     self.phase = FlushPhase::WaitingDeps(next);
                     return Vec::new();
@@ -258,7 +258,7 @@ impl EpochArbiter {
                     self.core, next,
                 ))]
             }
-            EpochState::Flushing | EpochState::Persisted => {
+            EpochPhase::Flushing | EpochPhase::Persisted => {
                 unreachable!("frontier in impossible state")
             }
         }

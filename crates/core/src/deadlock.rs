@@ -9,7 +9,7 @@
 //! becomes the dependence source, the remainder continues as a fresh epoch —
 //! which conservatively removes any possibility of a cycle.
 
-use crate::epoch::EpochState;
+use pbm_types::EpochPhase;
 
 /// What to do about a just-detected inter-thread dependence, given the
 /// source epoch's state.
@@ -35,16 +35,17 @@ pub enum SplitDecision {
 /// # Example
 ///
 /// ```
-/// use pbm_core::{split_decision, SplitDecision, EpochState};
-/// assert_eq!(split_decision(EpochState::Ongoing), SplitDecision::SplitSource);
-/// assert_eq!(split_decision(EpochState::Completed), SplitDecision::NoSplit);
+/// use pbm_core::{split_decision, SplitDecision};
+/// use pbm_types::EpochPhase;
+/// assert_eq!(split_decision(EpochPhase::Ongoing), SplitDecision::SplitSource);
+/// assert_eq!(split_decision(EpochPhase::Completed), SplitDecision::NoSplit);
 /// ```
-pub fn split_decision(source_state: EpochState) -> SplitDecision {
+pub fn split_decision(source_state: EpochPhase) -> SplitDecision {
     match source_state {
-        EpochState::Ongoing => SplitDecision::SplitSource,
-        EpochState::Completed => SplitDecision::NoSplit,
-        EpochState::Flushing => SplitDecision::NoSplit,
-        EpochState::Persisted => {
+        EpochPhase::Ongoing => SplitDecision::SplitSource,
+        EpochPhase::Completed => SplitDecision::NoSplit,
+        EpochPhase::Flushing => SplitDecision::NoSplit,
+        EpochPhase::Persisted => {
             panic!("dependence on a persisted epoch: its lines cannot be tagged")
         }
     }
@@ -59,7 +60,7 @@ mod tests {
     #[test]
     fn ongoing_source_splits() {
         assert_eq!(
-            split_decision(EpochState::Ongoing),
+            split_decision(EpochPhase::Ongoing),
             SplitDecision::SplitSource
         );
     }
@@ -67,16 +68,16 @@ mod tests {
     #[test]
     fn completed_source_records_directly() {
         assert_eq!(
-            split_decision(EpochState::Completed),
+            split_decision(EpochPhase::Completed),
             SplitDecision::NoSplit
         );
-        assert_eq!(split_decision(EpochState::Flushing), SplitDecision::NoSplit);
+        assert_eq!(split_decision(EpochPhase::Flushing), SplitDecision::NoSplit);
     }
 
     #[test]
     #[should_panic(expected = "persisted")]
     fn persisted_source_is_a_bug() {
-        let _ = split_decision(EpochState::Persisted);
+        let _ = split_decision(EpochPhase::Persisted);
     }
 
     /// Drives the full §3.3 split sequence through the arbiter: a
@@ -95,7 +96,7 @@ mod tests {
 
         // A remote conflict names core 0's ongoing epoch: split first.
         assert_eq!(
-            split_decision(EpochState::Ongoing),
+            split_decision(EpochPhase::Ongoing),
             SplitDecision::SplitSource
         );
         let first_half = src.split_current();

@@ -1,25 +1,7 @@
 //! Per-core epoch lifecycle tracking.
 
-use pbm_types::{CoreId, EpochId, EpochTag};
+use pbm_types::{CoreId, EpochId, EpochPhase, EpochTag};
 use std::collections::BTreeMap;
-
-/// Lifecycle state of one epoch.
-///
-/// Epochs advance strictly `Ongoing → Completed → Flushing → Persisted`;
-/// persistence is in-order per core (rule E1 of epoch persistency), so the
-/// ledger can represent all persisted epochs by a single frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EpochState {
-    /// The epoch is still accepting stores (its closing barrier has not
-    /// retired).
-    Ongoing,
-    /// Closed by a persist barrier; values are final but not yet durable.
-    Completed,
-    /// The arbiter is flushing it (FlushEpoch sent, BankAcks pending).
-    Flushing,
-    /// Fully durable (PersistCMP broadcast).
-    Persisted,
-}
 
 /// The per-core epoch ledger: tracks the ongoing epoch, the persisted
 /// frontier, and the states in between.
@@ -38,7 +20,7 @@ pub struct EpochLedger {
     frontier: EpochId,
     /// States for epochs in `frontier ..= current` (ongoing/completed/
     /// flushing). Absent keys in range default to `Completed`.
-    states: BTreeMap<EpochId, EpochState>,
+    states: BTreeMap<EpochId, EpochPhase>,
     persisted_count: u64,
     completed_count: u64,
 }
@@ -47,7 +29,7 @@ impl EpochLedger {
     /// Creates a ledger for `core`, with epoch 0 ongoing.
     pub fn new(core: CoreId) -> Self {
         let mut states = BTreeMap::new();
-        states.insert(EpochId::FIRST, EpochState::Ongoing);
+        states.insert(EpochId::FIRST, EpochPhase::Ongoing);
         EpochLedger {
             core,
             current: EpochId::FIRST,
@@ -89,15 +71,15 @@ impl EpochLedger {
     /// # Panics
     ///
     /// Panics if `epoch > self.current()`.
-    pub fn state(&self, epoch: EpochId) -> EpochState {
+    pub fn state(&self, epoch: EpochId) -> EpochPhase {
         assert!(epoch <= self.current, "epoch {epoch} not yet created");
         if epoch < self.frontier {
-            return EpochState::Persisted;
+            return EpochPhase::Persisted;
         }
         self.states
             .get(&epoch)
             .copied()
-            .unwrap_or(EpochState::Completed)
+            .unwrap_or(EpochPhase::Completed)
     }
 
     /// True if `epoch` has fully persisted.
@@ -115,9 +97,9 @@ impl EpochLedger {
     /// next. Returns the id of the epoch just completed.
     pub fn close_current(&mut self) -> EpochId {
         let closed = self.current;
-        self.states.insert(closed, EpochState::Completed);
+        self.states.insert(closed, EpochPhase::Completed);
         self.current = closed.next();
-        self.states.insert(self.current, EpochState::Ongoing);
+        self.states.insert(self.current, EpochPhase::Ongoing);
         self.completed_count += 1;
         closed
     }
@@ -136,10 +118,10 @@ impl EpochLedger {
         );
         assert_eq!(
             self.state(epoch),
-            EpochState::Completed,
+            EpochPhase::Completed,
             "only completed epochs can flush"
         );
-        self.states.insert(epoch, EpochState::Flushing);
+        self.states.insert(epoch, EpochPhase::Flushing);
     }
 
     /// Marks `epoch` fully persisted and advances the frontier.
@@ -149,7 +131,7 @@ impl EpochLedger {
     /// Panics if `epoch` is not the frontier or was never `Flushing`.
     pub fn mark_persisted(&mut self, epoch: EpochId) {
         assert_eq!(Some(epoch), self.first_unpersisted());
-        assert_eq!(self.state(epoch), EpochState::Flushing);
+        assert_eq!(self.state(epoch), EpochPhase::Flushing);
         self.states.remove(&epoch);
         self.frontier = epoch.next();
         self.persisted_count += 1;
@@ -169,7 +151,7 @@ impl EpochLedger {
     pub fn unpersisted_completed(&self) -> Vec<EpochId> {
         (self.frontier.as_u64()..self.current.as_u64())
             .map(EpochId::new)
-            .filter(|e| matches!(self.state(*e), EpochState::Completed | EpochState::Flushing))
+            .filter(|e| matches!(self.state(*e), EpochPhase::Completed | EpochPhase::Flushing))
             .collect()
     }
 }
@@ -186,7 +168,7 @@ mod tests {
     fn initial_state() {
         let l = ledger();
         assert_eq!(l.current(), EpochId::FIRST);
-        assert_eq!(l.state(EpochId::FIRST), EpochState::Ongoing);
+        assert_eq!(l.state(EpochId::FIRST), EpochPhase::Ongoing);
         assert_eq!(l.inflight(), 1);
         assert_eq!(l.first_unpersisted(), Some(EpochId::FIRST));
         assert!(!l.is_persisted(EpochId::FIRST));
@@ -198,8 +180,8 @@ mod tests {
         let closed = l.close_current();
         assert_eq!(closed, EpochId::new(0));
         assert_eq!(l.current(), EpochId::new(1));
-        assert_eq!(l.state(EpochId::new(0)), EpochState::Completed);
-        assert_eq!(l.state(EpochId::new(1)), EpochState::Ongoing);
+        assert_eq!(l.state(EpochId::new(0)), EpochPhase::Completed);
+        assert_eq!(l.state(EpochId::new(1)), EpochPhase::Ongoing);
         assert_eq!(l.inflight(), 2);
         assert_eq!(l.completed_count(), 1);
     }
@@ -209,9 +191,9 @@ mod tests {
         let mut l = ledger();
         let e = l.close_current();
         l.begin_flush(e);
-        assert_eq!(l.state(e), EpochState::Flushing);
+        assert_eq!(l.state(e), EpochPhase::Flushing);
         l.mark_persisted(e);
-        assert_eq!(l.state(e), EpochState::Persisted);
+        assert_eq!(l.state(e), EpochPhase::Persisted);
         assert!(l.is_persisted(e));
         assert_eq!(l.inflight(), 1);
         assert_eq!(l.persisted_count(), 1);

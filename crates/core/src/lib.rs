@@ -55,7 +55,7 @@ pub mod recovery;
 pub use arbiter::{ArbiterAction, EpochArbiter, FlushPhase};
 pub use checkpoint::CheckpointModel;
 pub use deadlock::{split_decision, SplitDecision};
-pub use epoch::{EpochLedger, EpochState};
+pub use epoch::EpochLedger;
 pub use hb::HbGraph;
 pub use idt::{IdtOverflow, IdtRegisters};
 pub use persistency::BarrierSemantics;

@@ -28,11 +28,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod message;
 mod routing;
 mod topology;
 
-pub use message::MessageClass;
+pub use pbm_types::MessageClass;
 pub use routing::{route_xy, RouteIter};
 pub use topology::{Coord, Placement};
 

@@ -254,8 +254,8 @@ pub fn export_chrome_trace(events: &[TraceEvent], samples: &[MetricSample]) -> S
             }
             TraceEventKind::PersistWrite { .. } => {
                 // One event per flushed line — too dense for a viewer
-                // track. pbm-prof consumes these from the structured-event
-                // export instead.
+                // track. pbm-prof reads these from the in-memory event
+                // stream instead.
             }
             TraceEventKind::FlushEpoch { tag, reason } => {
                 let core = tag.core.as_u32();

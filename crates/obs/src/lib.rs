@@ -6,8 +6,7 @@
 //!
 //! * a **cycle-stamped structured event trace** ([`TraceEvent`] stream),
 //!   exportable as Chrome trace-event JSON loadable in Perfetto
-//!   ([`chrome::export_chrome_trace`]) or as a line-oriented JSON event
-//!   log ([`codec`]);
+//!   ([`chrome::export_chrome_trace`]);
 //! * a **periodic time-series** of [`MetricSample`] rows, exportable as
 //!   CSV ([`metrics_csv`]).
 //!
@@ -24,18 +23,14 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod chrome;
-pub mod codec;
 pub mod json;
 mod sampler;
 mod sink;
 
-pub use pbm_types::{
-    EpochPhase, FlushReason, MetricSample, NocClass, StallKind, TraceEvent, TraceEventKind,
-};
 pub use sampler::Sampler;
 pub use sink::{NullSink, RingSink, TraceBuffer, TraceSink};
 
-use pbm_types::Cycle;
+use pbm_types::{Cycle, MetricSample, TraceEvent};
 
 /// The simulator's handle to the observability layer.
 ///
@@ -108,8 +103,8 @@ impl Observer {
     /// disabled observer never allocates or formats:
     ///
     /// ```
-    /// # use pbm_obs::{Observer, TraceEvent, TraceEventKind};
-    /// # use pbm_types::{Cycle, CoreId, EpochId};
+    /// # use pbm_obs::Observer;
+    /// # use pbm_types::{Cycle, CoreId, EpochId, TraceEvent, TraceEventKind};
     /// # let mut obs = Observer::disabled();
     /// # let now = Cycle::ZERO;
     /// if obs.is_enabled() {
@@ -188,7 +183,7 @@ pub fn metrics_csv(samples: &[MetricSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbm_types::{CoreId, EpochId, EpochTag};
+    use pbm_types::{CoreId, EpochId, EpochTag, TraceEventKind};
 
     fn ev(cycle: u64) -> TraceEvent {
         TraceEvent::new(

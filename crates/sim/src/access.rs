@@ -2,11 +2,13 @@
 //! conflict detection, and store commit — the code paths on which the
 //! paper's conflicts (§3.1, §3.2) arise and are resolved.
 
-use crate::system::{FlushReason, System};
+use crate::system::System;
 use pbm_cache::{CacheLine, VictimChoice};
 use pbm_noc::MessageClass;
 use pbm_nvram::LineValue;
-use pbm_types::{BankId, BarrierKind, CoreId, Cycle, EpochTag, LineAddr, NodeId, TraceEventKind};
+use pbm_types::{
+    BankId, BarrierKind, CoreId, Cycle, EpochTag, FlushReason, LineAddr, NodeId, TraceEventKind,
+};
 
 /// Result of a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

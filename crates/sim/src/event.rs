@@ -60,7 +60,7 @@ const WHEEL_SLOTS: usize = 4096;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// Time-ordered event queue: a bucketed timing wheel over
-/// [`WHEEL_SLOTS`] cycles with a heap fallback for far-future events.
+/// `WHEEL_SLOTS` (4096) cycles with a heap fallback for far-future events.
 /// Ties break by insertion sequence, making the simulation fully
 /// deterministic; pop order is identical to [`HeapEventQueue`].
 #[derive(Debug)]

@@ -2,10 +2,12 @@
 //! model (the Figure 8 handshake), persist bookkeeping, and wakeups.
 
 use crate::event::Event;
-use crate::system::{FlushReason, System};
+use crate::system::System;
 use pbm_core::ArbiterAction;
 use pbm_noc::MessageClass;
-use pbm_types::{BankId, CoreId, EpochId, EpochTag, FlushMode, LineAddr, McId, NodeId};
+use pbm_types::{
+    BankId, CoreId, EpochId, EpochTag, FlushMode, FlushReason, LineAddr, McId, NodeId,
+};
 
 impl System {
     pub(crate) fn node_core(core: CoreId) -> NodeId {

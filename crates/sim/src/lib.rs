@@ -42,10 +42,8 @@ mod flush;
 mod op;
 mod perturb;
 mod system;
-mod trace;
 
 pub use event::{Event, EventQueue, HeapEventQueue};
 pub use op::{Op, Program, ProgramBuilder};
 pub use perturb::SchedulePerturbation;
-pub use system::{FlushReason, System, VOLATILE_BASE};
-pub use trace::TraceParseError;
+pub use system::{System, VOLATILE_BASE};

@@ -9,8 +9,9 @@ use pbm_noc::{Mesh, MessageClass};
 use pbm_nvram::{DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
 use pbm_obs::{Observer, Sampler};
 use pbm_types::{
-    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, LineAddr,
-    MetricSample, NodeId, SimStats, SystemConfig, TraceEvent, TraceEventKind,
+    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag,
+    FlushReason, LineAddr, MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent,
+    TraceEventKind,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -20,8 +21,6 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 /// locks and scratch data here. Under BSP bulk mode (whole-execution
 /// persistence) the boundary is ignored and everything is tagged.
 pub const VOLATILE_BASE: u64 = 1 << 40;
-
-pub use pbm_types::{FlushReason, StallKind};
 
 #[derive(Debug)]
 pub(crate) struct CoreState {
@@ -280,7 +279,7 @@ impl System {
                 TraceEventKind::NocSend {
                     src,
                     dst,
-                    class: class.obs_class(),
+                    class,
                     arrival,
                 },
             ));

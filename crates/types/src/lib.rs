@@ -32,6 +32,7 @@ mod config;
 mod error;
 mod ids;
 mod kinds;
+mod message;
 mod obs;
 mod stats;
 mod time;
@@ -41,8 +42,7 @@ pub use config::{ConfigBuilder, SystemConfig};
 pub use error::ConfigError;
 pub use ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId, ThreadId};
 pub use kinds::{BarrierKind, FlushMode, PersistencyKind};
-pub use obs::{
-    EpochPhase, FlushReason, MetricSample, NocClass, StallKind, TraceEvent, TraceEventKind,
-};
+pub use message::MessageClass;
+pub use obs::{EpochPhase, FlushReason, MetricSample, StallKind, TraceEvent, TraceEventKind};
 pub use stats::{Histogram, SimStats};
 pub use time::Cycle;

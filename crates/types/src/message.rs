@@ -1,7 +1,6 @@
-//! Message size classes carried by the network.
+//! Message size classes carried by the on-chip network.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Size and virtual-network class of a network message.
 ///
@@ -12,7 +11,10 @@ use std::fmt;
 /// traffic on the writeback network. Each class has its own virtual
 /// channels, so bulk epoch flushes cannot starve demand traffic (they still
 /// contend for memory-controller write bandwidth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The variants are in vnet order; the Chrome trace export uses
+/// `class as u64` as the NoC track id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MessageClass {
     /// Header-only message (requests, acks, barrier protocol): 8 bytes.
     Control,
@@ -44,23 +46,12 @@ impl MessageClass {
     /// Number of virtual networks.
     pub const VNETS: usize = 3;
 
-    /// The trace-vocabulary class of this message, for `pbm-obs` exports
-    /// (which must not depend on this crate).
-    pub const fn obs_class(self) -> pbm_types::NocClass {
+    /// Stable lower-case name used in exported traces.
+    pub const fn name(self) -> &'static str {
         match self {
-            MessageClass::Control => pbm_types::NocClass::Control,
-            MessageClass::Data => pbm_types::NocClass::Data,
-            MessageClass::Writeback => pbm_types::NocClass::Writeback,
-        }
-    }
-}
-
-impl fmt::Display for MessageClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MessageClass::Control => f.write_str("ctrl"),
-            MessageClass::Data => f.write_str("data"),
-            MessageClass::Writeback => f.write_str("wb"),
+            MessageClass::Control => "control",
+            MessageClass::Data => "data",
+            MessageClass::Writeback => "writeback",
         }
     }
 }
@@ -73,24 +64,5 @@ mod tests {
     fn sizes() {
         assert_eq!(MessageClass::Control.bytes(), 8);
         assert_eq!(MessageClass::Data.bytes(), 72);
-    }
-
-    #[test]
-    fn obs_classes_align() {
-        assert_eq!(
-            MessageClass::Control.obs_class(),
-            pbm_types::NocClass::Control
-        );
-        assert_eq!(MessageClass::Data.obs_class(), pbm_types::NocClass::Data);
-        assert_eq!(
-            MessageClass::Writeback.obs_class(),
-            pbm_types::NocClass::Writeback
-        );
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(MessageClass::Control.to_string(), "ctrl");
-        assert_eq!(MessageClass::Data.to_string(), "data");
     }
 }

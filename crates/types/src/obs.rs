@@ -6,6 +6,7 @@
 //! owns collection, sampling and export.
 
 use crate::ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId};
+use crate::message::MessageClass;
 use crate::time::Cycle;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -29,16 +30,6 @@ pub enum FlushReason {
 }
 
 impl FlushReason {
-    /// Every variant, in a fixed order (for tables and round-trip codecs).
-    pub const ALL: [FlushReason; 6] = [
-        FlushReason::Conflict,
-        FlushReason::Eviction,
-        FlushReason::Proactive,
-        FlushReason::BackPressure,
-        FlushReason::Barrier,
-        FlushReason::Drain,
-    ];
-
     /// Stable lower-case name used in exported traces.
     pub const fn name(self) -> &'static str {
         match self {
@@ -49,11 +40,6 @@ impl FlushReason {
             FlushReason::Barrier => "barrier",
             FlushReason::Drain => "drain",
         }
-    }
-
-    /// Parses the name produced by [`FlushReason::name`].
-    pub fn parse(s: &str) -> Option<FlushReason> {
-        FlushReason::ALL.into_iter().find(|r| r.name() == s)
     }
 }
 
@@ -74,20 +60,12 @@ pub enum StallKind {
 }
 
 impl StallKind {
-    /// Every variant, in a fixed order.
-    pub const ALL: [StallKind; 2] = [StallKind::OnlinePersist, StallKind::Barrier];
-
     /// Stable lower-case name used in exported traces.
     pub const fn name(self) -> &'static str {
         match self {
             StallKind::OnlinePersist => "online_persist",
             StallKind::Barrier => "barrier",
         }
-    }
-
-    /// Parses the name produced by [`StallKind::name`].
-    pub fn parse(s: &str) -> Option<StallKind> {
-        StallKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -97,85 +75,23 @@ impl fmt::Display for StallKind {
     }
 }
 
-/// Lifecycle phase of an epoch, mirroring the arbiter FSM in `pbm-core`.
+/// Lifecycle phase of one epoch (§3), tracked by `pbm-core`'s epoch
+/// ledger and arbiter and reported in [`TraceEventKind::EpochPhase`].
+///
+/// Epochs advance strictly `Ongoing → Completed → Flushing → Persisted`;
+/// persistence is in-order per core (rule E1 of epoch persistency), so the
+/// ledger can represent all persisted epochs by a single frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EpochPhase {
-    /// Open and accepting stores.
+    /// The epoch is still accepting stores (its closing barrier has not
+    /// retired).
     Ongoing,
-    /// Closed by a barrier, not yet flushing.
+    /// Closed by a persist barrier; values are final but not yet durable.
     Completed,
-    /// FlushEpoch issued; persists in flight.
+    /// The arbiter is flushing it (FlushEpoch sent, BankAcks pending).
     Flushing,
-    /// PersistCMP received; durable.
+    /// Fully durable (PersistCMP broadcast).
     Persisted,
-}
-
-impl EpochPhase {
-    /// Every variant, in FSM order.
-    pub const ALL: [EpochPhase; 4] = [
-        EpochPhase::Ongoing,
-        EpochPhase::Completed,
-        EpochPhase::Flushing,
-        EpochPhase::Persisted,
-    ];
-
-    /// Stable lower-case name used in exported traces.
-    pub const fn name(self) -> &'static str {
-        match self {
-            EpochPhase::Ongoing => "ongoing",
-            EpochPhase::Completed => "completed",
-            EpochPhase::Flushing => "flushing",
-            EpochPhase::Persisted => "persisted",
-        }
-    }
-
-    /// Parses the name produced by [`EpochPhase::name`].
-    pub fn parse(s: &str) -> Option<EpochPhase> {
-        EpochPhase::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-impl fmt::Display for EpochPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Virtual-network class of a traced NoC message (mirrors
-/// `pbm-noc::MessageClass` without the dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum NocClass {
-    /// Coherence/persistence control (single flit).
-    Control,
-    /// Data responses (line-sized).
-    Data,
-    /// Writebacks / persists (line-sized).
-    Writeback,
-}
-
-impl NocClass {
-    /// Every variant, in vnet order.
-    pub const ALL: [NocClass; 3] = [NocClass::Control, NocClass::Data, NocClass::Writeback];
-
-    /// Stable lower-case name used in exported traces.
-    pub const fn name(self) -> &'static str {
-        match self {
-            NocClass::Control => "control",
-            NocClass::Data => "data",
-            NocClass::Writeback => "writeback",
-        }
-    }
-
-    /// Parses the name produced by [`NocClass::name`].
-    pub fn parse(s: &str) -> Option<NocClass> {
-        NocClass::ALL.into_iter().find(|c| c.name() == s)
-    }
-}
-
-impl fmt::Display for NocClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// One cycle-stamped observation from the simulator.
@@ -339,34 +255,10 @@ pub enum TraceEventKind {
         /// Destination node.
         dst: NodeId,
         /// Virtual-network class.
-        class: NocClass,
+        class: MessageClass,
         /// Cycle at which the message will be delivered.
         arrival: Cycle,
     },
-}
-
-impl TraceEventKind {
-    /// Stable snake_case name of the event kind (used as the Chrome trace
-    /// event name and in the JSON codec).
-    pub const fn name(&self) -> &'static str {
-        match self {
-            TraceEventKind::EpochPhase { .. } => "epoch_phase",
-            TraceEventKind::FlushRequested { .. } => "flush_requested",
-            TraceEventKind::FlushEpoch { .. } => "flush_epoch",
-            TraceEventKind::BankFlushStart { .. } => "bank_flush_start",
-            TraceEventKind::PersistWrite { .. } => "persist_write",
-            TraceEventKind::BankAck { .. } => "bank_ack",
-            TraceEventKind::PersistCmp { .. } => "persist_cmp",
-            TraceEventKind::IdtRecord { .. } => "idt_record",
-            TraceEventKind::IdtOverflow { .. } => "idt_overflow",
-            TraceEventKind::DeadlockSplit { .. } => "deadlock_split",
-            TraceEventKind::ConflictIntra { .. } => "conflict_intra",
-            TraceEventKind::ConflictInter { .. } => "conflict_inter",
-            TraceEventKind::StallBegin { .. } => "stall_begin",
-            TraceEventKind::StallEnd { .. } => "stall_end",
-            TraceEventKind::NocSend { .. } => "noc_send",
-        }
-    }
 }
 
 /// One row of the periodic time-series sample (exported as metrics CSV).
@@ -422,105 +314,6 @@ noc_messages,epochs_persisted,stalled_cores,online_stall_cycles,barrier_stall_cy
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for r in FlushReason::ALL {
-            assert_eq!(FlushReason::parse(r.name()), Some(r));
-        }
-        for k in StallKind::ALL {
-            assert_eq!(StallKind::parse(k.name()), Some(k));
-        }
-        for p in EpochPhase::ALL {
-            assert_eq!(EpochPhase::parse(p.name()), Some(p));
-        }
-        for c in NocClass::ALL {
-            assert_eq!(NocClass::parse(c.name()), Some(c));
-        }
-        assert_eq!(FlushReason::parse("bogus"), None);
-    }
-
-    #[test]
-    fn event_kind_names_are_distinct() {
-        let tag = EpochTag::new(CoreId::new(0), EpochId::FIRST);
-        let kinds = [
-            TraceEventKind::EpochPhase {
-                tag,
-                phase: EpochPhase::Ongoing,
-            },
-            TraceEventKind::FlushRequested {
-                tag,
-                reason: FlushReason::Barrier,
-            },
-            TraceEventKind::FlushEpoch {
-                tag,
-                reason: FlushReason::Conflict,
-            },
-            TraceEventKind::BankFlushStart {
-                tag,
-                bank: BankId::new(0),
-                cmd_at: Cycle::new(4),
-                wb_at: Cycle::new(5),
-                log_at: Cycle::new(6),
-                chk_at: Cycle::new(7),
-                lines: 2,
-            },
-            TraceEventKind::PersistWrite {
-                tag,
-                bank: BankId::new(0),
-                mc: McId::new(1),
-                mc_at: Cycle::new(10),
-                begin: Cycle::new(11),
-                durable: Cycle::new(12),
-                ack_at: Cycle::new(13),
-            },
-            TraceEventKind::BankAck {
-                tag,
-                bank: BankId::new(0),
-            },
-            TraceEventKind::PersistCmp { tag },
-            TraceEventKind::IdtRecord {
-                source: tag,
-                dependent: tag,
-            },
-            TraceEventKind::IdtOverflow {
-                source: tag,
-                dependent: tag,
-            },
-            TraceEventKind::DeadlockSplit {
-                core: CoreId::new(0),
-                epoch: EpochId::FIRST,
-            },
-            TraceEventKind::ConflictIntra {
-                core: CoreId::new(0),
-                epoch: EpochId::FIRST,
-            },
-            TraceEventKind::ConflictInter {
-                source: tag,
-                dependent: tag,
-            },
-            TraceEventKind::StallBegin {
-                core: CoreId::new(0),
-                kind: StallKind::Barrier,
-                tag,
-            },
-            TraceEventKind::StallEnd {
-                core: CoreId::new(0),
-                kind: StallKind::Barrier,
-                waited: Cycle::new(5),
-            },
-            TraceEventKind::NocSend {
-                src: NodeId::Core(CoreId::new(0)),
-                dst: NodeId::Bank(BankId::new(1)),
-                class: NocClass::Control,
-                arrival: Cycle::new(9),
-            },
-        ];
-        let mut names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), kinds.len());
-    }
 
     #[test]
     fn metric_sample_csv_matches_header() {

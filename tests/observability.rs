@@ -1,8 +1,8 @@
 //! Observability integration tests: determinism of the exported
-//! artifacts, round-tripping of the event codec, and the shape of the
-//! Chrome trace produced from real simulated runs.
+//! artifacts, the shape of the Chrome trace produced from real simulated
+//! runs, and a golden Chrome export pinned byte for byte.
 
-use pbm::obs::{chrome, codec, json, metrics_csv};
+use pbm::obs::{chrome, json, metrics_csv};
 use pbm::prelude::*;
 use pbm_types::{MetricSample, TraceEvent, TraceEventKind};
 use rand::rngs::StdRng;
@@ -17,13 +17,13 @@ fn conflict_cfg() -> SystemConfig {
 
 /// A seeded multithreaded workload with enough sharing to exercise the
 /// conflict, IDT and stall machinery.
-fn seeded_programs(seed: u64, cores: usize) -> Vec<Program> {
+fn seeded_programs(seed: u64, cores: usize, ops: usize) -> Vec<Program> {
     (0..cores)
         .map(|core| {
             let mut rng = StdRng::seed_from_u64(seed ^ ((core as u64) << 32));
             let mut b = ProgramBuilder::new();
             let private_base = 1_000 + core as u64 * 64;
-            for i in 0..60usize {
+            for i in 0..ops {
                 match rng.gen_range(0..10) {
                     0..=5 => {
                         let line = if rng.gen_bool(0.4) {
@@ -49,8 +49,12 @@ fn seeded_programs(seed: u64, cores: usize) -> Vec<Program> {
 }
 
 fn traced_run(seed: u64) -> (Vec<TraceEvent>, Vec<MetricSample>) {
+    traced_run_sized(seed, 4, 60)
+}
+
+fn traced_run_sized(seed: u64, cores: usize, ops: usize) -> (Vec<TraceEvent>, Vec<MetricSample>) {
     let cfg = conflict_cfg();
-    let mut sys = System::new(cfg, seeded_programs(seed, 4)).expect("valid config");
+    let mut sys = System::new(cfg, seeded_programs(seed, cores, ops)).expect("valid config");
     sys.enable_tracing();
     sys.enable_metrics(Cycle::new(500));
     sys.run();
@@ -63,11 +67,7 @@ fn same_seed_runs_export_byte_identical_artifacts() {
     let (events_b, samples_b) = traced_run(7);
     assert!(!events_a.is_empty(), "trace should capture events");
     assert!(!samples_a.is_empty(), "sampler should capture rows");
-    assert_eq!(
-        codec::export_events(&events_a),
-        codec::export_events(&events_b),
-        "event-log JSON must be byte-identical across same-seed runs"
-    );
+    assert_eq!(events_a, events_b, "same-seed runs must trace identically");
     assert_eq!(
         chrome::export_chrome_trace(&events_a, &samples_a),
         chrome::export_chrome_trace(&events_b, &samples_b),
@@ -85,20 +85,9 @@ fn different_seeds_diverge() {
     let (events_a, _) = traced_run(7);
     let (events_b, _) = traced_run(8);
     assert_ne!(
-        codec::export_events(&events_a),
-        codec::export_events(&events_b),
+        events_a, events_b,
         "different programs should produce different traces"
     );
-}
-
-#[test]
-fn event_log_round_trips_through_the_codec() {
-    let (events, _) = traced_run(11);
-    let text = codec::export_events(&events);
-    let parsed = codec::parse_events(&text).expect("exported log parses");
-    assert_eq!(parsed, events, "decode(encode(x)) == x for a real run");
-    // And re-encoding is stable.
-    assert_eq!(codec::export_events(&parsed), text);
 }
 
 #[test]
@@ -174,6 +163,40 @@ fn chrome_export_is_valid_and_has_per_core_epoch_tracks() {
     );
 }
 
+/// The Chrome export of a short two-core run, pinned byte for byte. It
+/// guards the NoC track ids (`MessageClass as u64`) and the epoch-phase
+/// spans.
+const GOLDEN_CHROME: &str = include_str!("golden/chrome-small.json");
+
+#[test]
+fn chrome_export_matches_the_golden_file() {
+    let (events, samples) = traced_run_sized(7, 2, 10);
+    let text = chrome::export_chrome_trace(&events, &samples);
+    let doc = json::parse(&text).expect("chrome trace is valid JSON");
+    let pids: std::collections::BTreeSet<u64> = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(|v| v.as_str()) != Some("M"))
+        .filter_map(|e| e.get("pid").and_then(|v| v.as_u64()))
+        .collect();
+    assert_eq!(
+        pids,
+        (1..=7).collect(),
+        "the golden run must put events on every track"
+    );
+    if let Some((i, (got, want))) = text
+        .lines()
+        .zip(GOLDEN_CHROME.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!("line {} differs:\n  got:  {got}\n  want: {want}", i + 1);
+    }
+    assert_eq!(text, GOLDEN_CHROME, "export differs from the golden file");
+}
+
 #[test]
 fn metrics_counters_are_cumulative_and_time_ordered() {
     let (_, samples) = traced_run(19);
@@ -191,7 +214,7 @@ fn metrics_counters_are_cumulative_and_time_ordered() {
 #[test]
 fn disabled_observer_records_nothing() {
     let cfg = conflict_cfg();
-    let mut sys = System::new(cfg, seeded_programs(7, 4)).expect("valid config");
+    let mut sys = System::new(cfg, seeded_programs(7, 4, 60)).expect("valid config");
     sys.run();
     assert!(sys.take_trace_events().is_empty());
     assert!(sys.take_metric_samples().is_empty());
@@ -200,9 +223,9 @@ fn disabled_observer_records_nothing() {
 #[test]
 fn stats_are_unchanged_by_tracing() {
     let cfg = conflict_cfg();
-    let mut plain = System::new(cfg.clone(), seeded_programs(23, 4)).expect("valid config");
+    let mut plain = System::new(cfg.clone(), seeded_programs(23, 4, 60)).expect("valid config");
     let stats_plain = plain.run();
-    let mut traced = System::new(cfg, seeded_programs(23, 4)).expect("valid config");
+    let mut traced = System::new(cfg, seeded_programs(23, 4, 60)).expect("valid config");
     traced.enable_tracing();
     traced.enable_metrics(Cycle::new(500));
     let stats_traced = traced.run();
