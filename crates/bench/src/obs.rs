@@ -6,6 +6,8 @@ use pbm_obs::{chrome, metrics_csv};
 use pbm_sim::System;
 use pbm_types::{Cycle, MetricSample, SimStats, SystemConfig, TraceEvent};
 use pbm_workloads::Workload;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 /// Default sampling cadence when `--metrics-csv` is given without
@@ -123,8 +125,9 @@ pub fn capture_artifacts(opts: &ObsOptions, cfg: SystemConfig, wl: &Workload, la
         .map(|_| Cycle::new(opts.metrics_interval));
     let (_, events, samples) = run_one_instrumented(cfg, wl, opts.trace_out.is_some(), interval);
     if let Some(path) = &opts.trace_out {
-        let json = chrome::export_chrome_trace(&events, &samples);
-        if let Err(e) = std::fs::write(path, json) {
+        let written = File::create(path)
+            .and_then(|file| chrome::write_chrome_trace(BufWriter::new(file), &events, &samples));
+        if let Err(e) = written {
             die(&format!("cannot write trace JSON {}: {e}", path.display()));
         }
         eprintln!(

@@ -206,23 +206,29 @@ impl ConsistencyChecker {
 
     /// Checks that every write of `tag` is covered in `snap`: each written
     /// line's durable value is `tag`'s write or a newer one. Returns the
-    /// first uncovered line.
+    /// lowest uncovered line, so the report never depends on hash order.
     pub fn epoch_complete(&self, snap: &DurableSnapshot, tag: EpochTag) -> Result<(), LineAddr> {
         let Some(lines) = self.epoch_writes.get(&tag) else {
             return Ok(()); // wrote nothing: vacuously complete
         };
-        for (&line, &pos) in lines {
+        let uncovered = |(&line, &pos): (&LineAddr, &usize)| {
             let durable_pos = snap
                 .line(line)
                 .and_then(|tok| self.by_token.get(&tok))
                 .filter(|(l, _, _)| *l == line)
                 .map(|(_, p, _)| *p);
-            match durable_pos {
-                Some(p) if p >= pos => {}
-                _ => return Err(line),
-            }
+            !matches!(durable_pos, Some(p) if p >= pos)
+        };
+        if !lines.iter().any(uncovered) {
+            return Ok(());
         }
-        Ok(())
+        // Error path only: scan every line for the lowest uncovered one.
+        let lowest = lines
+            .iter()
+            .filter(|&l| uncovered(l))
+            .map(|(l, _)| *l)
+            .min();
+        Err(lowest.expect("an uncovered line exists"))
     }
 
     /// Per-core frontier: the newest epoch of `core` with durable effects.
@@ -243,24 +249,39 @@ impl ConsistencyChecker {
         cores
     }
 
-    /// Checks for durable values no store ever wrote.
+    /// Checks for durable values no store ever wrote; reports the lowest
+    /// such line.
     fn check_phantoms(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
-        for (line, token) in snap.iter() {
-            match self.by_token.get(&token) {
-                Some((l, _, _)) if *l == line => {}
-                _ => return Err(ConsistencyViolation::PhantomValue { line, token }),
-            }
+        let phantom = snap
+            .iter()
+            .filter(
+                |(line, token)| !matches!(self.by_token.get(token), Some((l, _, _)) if l == line),
+            )
+            .min();
+        match phantom {
+            Some((line, token)) => Err(ConsistencyViolation::PhantomValue { line, token }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Checks the BEP ordering invariants against a crash snapshot.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConsistencyViolation`] found.
+    /// Returns the oldest incomplete epoch by `(core, epoch)` that BEP
+    /// requires complete, with its lowest uncovered line (or the lowest
+    /// phantom line), so one snapshot always yields one report.
     pub fn check_bep(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
         self.check_phantoms(snap)?;
+        // Every requirement is checked, and the oldest violating epoch
+        // wins: hash order must not pick the report. For one epoch, the
+        // first requirement found names the reason.
+        let mut oldest: Option<(EpochTag, CompletionReason)> = None;
+        let mut violated = |tag: EpochTag, because| {
+            if oldest.is_none_or(|(t, _)| tag < t) {
+                oldest = Some((tag, because));
+            }
+        };
         // Program order: everything strictly below the durable frontier of
         // each core must be complete.
         for core in self.cores() {
@@ -268,14 +289,8 @@ impl ConsistencyChecker {
                 continue;
             };
             for tag in self.epoch_writes.keys().filter(|t| t.core == core) {
-                if tag.epoch < frontier {
-                    if let Err(line) = self.epoch_complete(snap, *tag) {
-                        return Err(ConsistencyViolation::IncompleteEpoch {
-                            epoch: *tag,
-                            line,
-                            because: CompletionReason::ProgramOrder { newer: frontier },
-                        });
-                    }
+                if tag.epoch < frontier && self.epoch_complete(snap, *tag).is_err() {
+                    violated(*tag, CompletionReason::ProgramOrder { newer: frontier });
                 }
             }
         }
@@ -285,17 +300,20 @@ impl ConsistencyChecker {
             let dep_started = self
                 .durable_frontier(snap, dependent.core)
                 .is_some_and(|f| f >= dependent.epoch);
-            if dep_started {
-                if let Err(line) = self.epoch_complete(snap, source) {
-                    return Err(ConsistencyViolation::IncompleteEpoch {
-                        epoch: source,
-                        line,
-                        because: CompletionReason::InterThread { dependent },
-                    });
-                }
+            if dep_started && self.epoch_complete(snap, source).is_err() {
+                violated(source, CompletionReason::InterThread { dependent });
             }
         }
-        Ok(())
+        match oldest {
+            None => Ok(()),
+            Some((epoch, because)) => Err(ConsistencyViolation::IncompleteEpoch {
+                epoch,
+                line: self
+                    .epoch_complete(snap, epoch)
+                    .expect_err("a violating epoch is incomplete"),
+                because,
+            }),
+        }
     }
 
     /// Checks the BSP invariants (ordering + atomicity) against a
@@ -304,7 +322,8 @@ impl ConsistencyChecker {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConsistencyViolation`] found.
+    /// Returns [`Self::check_bep`]'s violation, else the oldest partial
+    /// epoch by `(core, epoch)` with its lowest uncovered line.
     pub fn check_bsp_recovered(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
         self.check_bep(snap)?;
         // Atomicity: any epoch with a durable effect must be complete.
@@ -472,6 +491,69 @@ mod tests {
             .unwrap();
         ck.check_bsp_recovered(&snap(&[(1, 101), (2, 102), (3, 103)]))
             .unwrap();
+    }
+
+    /// Core 0 runs six epochs over eight lines; at the crash E5 is durable
+    /// while E1 (two lines), E2 and E3 are incomplete. Every rebuild hashes
+    /// differently, yet the report is always the oldest epoch's lowest line.
+    #[test]
+    fn violation_report_is_independent_of_hash_order() {
+        let line = |k: u64| LineAddr::new(0x1000 + 37 * k);
+        let journal = || {
+            let mut ck = ConsistencyChecker::new();
+            let writes = [
+                (0, 0, 100), // E0: L0, L1
+                (1, 0, 101),
+                (2, 1, 102), // E1: L2, L3, L4
+                (3, 1, 103),
+                (4, 1, 104),
+                (5, 2, 105), // E2: L5
+                (6, 3, 106), // E3: L6, L7
+                (7, 3, 107),
+                (3, 4, 108), // E4 overwrites L3
+                (0, 5, 109), // E5 overwrites L0
+            ];
+            for (l, e, token) in writes {
+                ck.record_write(line(l), token, tag(0, e));
+            }
+            ck
+        };
+        let durable = |pairs: &[(u64, u64)]| {
+            DurableSnapshot::new(
+                pairs
+                    .iter()
+                    .map(|&(l, v)| (line(l), v))
+                    .collect::<Map<_, _>>(),
+                pbm_types::Cycle::new(1000),
+            )
+        };
+        // L0 holds E5's write, L1 E0's, L3 E4's, L6 E3's; L2, L4, L5 and
+        // L7 were never persisted.
+        let snapshot = durable(&[(0, 109), (1, 101), (3, 108), (6, 106)]);
+        let expected = ConsistencyViolation::IncompleteEpoch {
+            epoch: tag(0, 1),
+            line: line(2),
+            because: CompletionReason::ProgramOrder {
+                newer: EpochId::new(5),
+            },
+        };
+        for _ in 0..32 {
+            let ck = journal();
+            assert_eq!(ck.check_bep(&snapshot), Err(expected.clone()));
+            assert_eq!(ck.epoch_complete(&snapshot, tag(0, 3)), Err(line(7)));
+        }
+        // Recovered BSP: E0 is whole and nothing newer is durable, so the
+        // oldest partial epoch is E1 at its lowest missing line, L2.
+        let partial = durable(&[(0, 100), (1, 101), (3, 103)]);
+        for _ in 0..32 {
+            assert_eq!(
+                journal().check_bsp_recovered(&partial),
+                Err(ConsistencyViolation::PartialEpoch {
+                    epoch: tag(0, 1),
+                    line: line(2),
+                })
+            );
+        }
     }
 
     #[test]

@@ -23,10 +23,28 @@
 //! Timestamps are simulated cycles written as integer `ts` microseconds
 //! (1 cycle ≙ 1 µs in the viewer); no wall-clock value ever enters the
 //! document, so identical runs export byte-identical traces.
+//!
+//! [`write_chrome_trace`] streams the document in three steps, holding no
+//! JSON in memory:
+//!
+//! 1. **Pre-scan.** One pass over the events reconstructs each epoch's
+//!    lifecycle, assigns persist-pipeline lanes, and collects the thread
+//!    ids of every track, which the metadata at the front must name.
+//! 2. **Index.** Every output line becomes a 16-byte `Record`: its `ts`
+//!    and the span, event or sample it renders. Sorting the records by
+//!    `(ts, source)` orders ties exactly as emission order did: execution
+//!    spans, persist spans, stream events, then counters.
+//! 3. **Write.** The track metadata, then one line per record, rendered
+//!    straight from the [`TraceEvent`] or [`MetricSample`] it points at.
+//!
+//! The bytes are those of the earlier document-model exporter, which built
+//! a JSON tree of the whole trace first; `tests/golden/chrome-small.json`
+//! pins them. Every string the exporter writes is an id (`C3:E7`, `B2`, …)
+//! or a fixed name, none of which needs JSON escaping.
 
-use crate::json::JsonValue;
-use pbm_types::{MetricSample, TraceEvent, TraceEventKind};
-use std::collections::BTreeMap;
+use pbm_types::{EpochPhase, EpochTag, MetricSample, NodeId, TraceEvent, TraceEventKind};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, Write};
 
 const PID_EXEC: u64 = 1;
 const PID_PERSIST: u64 = 2;
@@ -39,73 +57,8 @@ const PID_MC: u64 = 7;
 /// Per-core lane stride for the persist pipeline's tid space.
 const LANE_STRIDE: u64 = 1000;
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn s(v: impl Into<String>) -> JsonValue {
-    JsonValue::Str(v.into())
-}
-
-fn n(v: u64) -> JsonValue {
-    JsonValue::Num(v)
-}
-
-fn metadata(name: &str, pid: u64, tid: Option<u64>, value: &str) -> JsonValue {
-    let mut fields = vec![("name", s(name)), ("ph", s("M")), ("pid", n(pid))];
-    if let Some(tid) = tid {
-        fields.push(("tid", n(tid)));
-    }
-    fields.push(("args", obj(vec![("name", s(value))])));
-    obj(fields)
-}
-
-fn span(
-    name: String,
-    ts: u64,
-    dur: u64,
-    pid: u64,
-    tid: u64,
-    args: Vec<(&str, JsonValue)>,
-) -> JsonValue {
-    obj(vec![
-        ("name", s(name)),
-        ("ph", s("X")),
-        ("ts", n(ts)),
-        ("dur", n(dur)),
-        ("pid", n(pid)),
-        ("tid", n(tid)),
-        ("args", obj(args)),
-    ])
-}
-
-fn instant(name: String, ts: u64, pid: u64, tid: u64, args: Vec<(&str, JsonValue)>) -> JsonValue {
-    obj(vec![
-        ("name", s(name)),
-        ("ph", s("i")),
-        ("ts", n(ts)),
-        ("pid", n(pid)),
-        ("tid", n(tid)),
-        ("s", s("t")),
-        ("args", obj(args)),
-    ])
-}
-
-fn counter(name: &str, ts: u64, value: u64) -> JsonValue {
-    obj(vec![
-        ("name", s(name)),
-        ("ph", s("C")),
-        ("ts", n(ts)),
-        ("pid", n(PID_MC)),
-        ("tid", n(0)),
-        ("args", obj(vec![("value", n(value))])),
-    ])
-}
+/// The counter tracks, in the order each sample emits them.
+const COUNTERS: [&str; 3] = ["mc_queue_depth", "stalled_cores", "nvram_writes"];
 
 /// Lifecycle milestones of one epoch, reconstructed from the event stream.
 #[derive(Debug, Default, Clone)]
@@ -115,208 +68,379 @@ struct EpochLife {
     flushing_at: Option<u64>,
     persisted_at: Option<u64>,
     reason: Option<&'static str>,
+    /// Persist-pipeline lane, assigned once every lifecycle is known.
+    lane: u64,
 }
 
-/// Exports the event stream plus metric samples as one Chrome trace-event
-/// JSON document. Deterministic: identical inputs yield identical bytes.
-pub fn export_chrome_trace(events: &[TraceEvent], samples: &[MetricSample]) -> String {
-    // Reconstruct epoch lifecycles, keyed (core, epoch) in BTree order so
-    // every later iteration is deterministic.
-    let mut lives: BTreeMap<(u32, u64), EpochLife> = BTreeMap::new();
-    let mut last_cycle = 0u64;
-    for ev in events {
-        let cycle = ev.cycle.as_u64();
-        last_cycle = last_cycle.max(cycle);
-        match ev.kind {
-            TraceEventKind::EpochPhase { tag, phase } => {
-                let life = lives
-                    .entry((tag.core.as_u32(), tag.epoch.as_u64()))
-                    .or_default();
-                use pbm_types::EpochPhase::*;
-                let slot = match phase {
-                    Ongoing => &mut life.ongoing_at,
-                    Completed => &mut life.completed_at,
-                    Flushing => &mut life.flushing_at,
-                    Persisted => &mut life.persisted_at,
-                };
-                slot.get_or_insert(cycle);
-            }
-            TraceEventKind::FlushEpoch { tag, reason } => {
-                lives
-                    .entry((tag.core.as_u32(), tag.epoch.as_u64()))
-                    .or_default()
-                    .reason
-                    .get_or_insert(reason.name());
-            }
-            _ => {}
-        }
-    }
+/// What one output line renders. Variant order is emission order, so
+/// sorting records by `(ts, source)` is a stable sort by `ts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Source {
+    /// An epoch's execution span; indexes the lifecycles.
+    Exec(u32),
+    /// An epoch's persist-pipeline span; indexes the lifecycles.
+    Persist(u32),
+    /// A stream event; indexes the events.
+    Event(u32),
+    /// `sample * 3 + counter`; indexes the samples and [`COUNTERS`].
+    Counter(u32),
+}
 
-    let mut out: Vec<JsonValue> = Vec::with_capacity(events.len() + lives.len() * 2 + 64);
+/// One output line of the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Record {
+    ts: u64,
+    source: Source,
+}
 
-    // Execution spans: the Ongoing phase of each epoch.
-    let mut exec_cores: Vec<u32> = Vec::new();
-    for (&(core, epoch), life) in &lives {
-        let Some(start) = life.ongoing_at else {
-            continue;
-        };
-        let end = life
-            .completed_at
-            .or(life.flushing_at)
-            .or(life.persisted_at)
-            .unwrap_or(last_cycle);
-        out.push(span(
-            format!("E{epoch}"),
-            start,
-            end.saturating_sub(start),
-            PID_EXEC,
-            u64::from(core),
-            vec![("epoch", s(format!("C{core}:E{epoch}")))],
-        ));
-        if !exec_cores.contains(&core) {
-            exec_cores.push(core);
-        }
-    }
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("a trace holds fewer than 2^32 records")
+}
 
-    // Persist-pipeline spans: close (or flush start) to PersistCMP, packed
-    // onto per-core lanes so no track holds overlapping slices.
-    let mut lanes: BTreeMap<u32, Vec<u64>> = BTreeMap::new(); // core -> lane busy-until
-    let mut persist_tids: Vec<(u32, u64)> = Vec::new(); // (core, lane)
-    for (&(core, epoch), life) in &lives {
-        let Some(start) = life.completed_at.or(life.flushing_at) else {
-            continue;
-        };
-        let end = life.persisted_at.unwrap_or(last_cycle);
-        let lanes = lanes.entry(core).or_default();
-        let lane = match lanes.iter().position(|&busy_until| busy_until <= start) {
-            Some(free) => free,
-            None => {
-                lanes.push(0);
-                lanes.len() - 1
-            }
-        };
-        lanes[lane] = end.max(start + 1);
-        let reason = life.reason.unwrap_or("unknown");
-        out.push(span(
-            format!("E{epoch} flush"),
-            start,
-            end.saturating_sub(start),
-            PID_PERSIST,
-            u64::from(core) * LANE_STRIDE + lane as u64,
-            vec![
-                ("epoch", s(format!("C{core}:E{epoch}"))),
-                ("reason", s(reason)),
-            ],
-        ));
-        if !persist_tids.contains(&(core, lane as u64)) {
-            persist_tids.push((core, lane as u64));
-        }
-    }
+/// The pre-scan's result: everything the write pass needs besides the
+/// events and samples themselves.
+#[derive(Debug, Default)]
+struct Layout {
+    /// Epoch lifecycles in `(core, epoch)` order.
+    lives: Vec<(EpochTag, EpochLife)>,
+    last_cycle: u64,
+    records: Vec<Record>,
+    exec_cores: BTreeSet<u32>,
+    persist_tids: BTreeSet<(u32, u64)>,
+    stall_cores: BTreeSet<u32>,
+    event_cores: BTreeSet<u32>,
+    bank_tids: BTreeSet<u32>,
+    /// NoC classes in order of first appearance. The metadata numbers
+    /// their threads in this order, while `NocSend` instants use
+    /// `class as u64`; the two agree whenever control traffic comes first.
+    noc_vnets: Vec<&'static str>,
+}
 
-    // Instants, stalls, bank acks, NoC injections, straight off the stream.
-    let mut stall_cores: Vec<u32> = Vec::new();
-    let mut bank_tids: Vec<u32> = Vec::new();
-    let mut event_cores: Vec<u32> = Vec::new();
-    let mut noc_vnets: Vec<&'static str> = Vec::new();
-    for ev in events {
-        let ts = ev.cycle.as_u64();
-        match ev.kind {
-            TraceEventKind::EpochPhase { .. } => {}
-            TraceEventKind::FlushRequested { tag, reason } => {
-                let core = tag.core.as_u32();
-                out.push(instant(
-                    format!("FlushRequested {}", tag),
-                    ts,
-                    PID_EVENTS,
-                    u64::from(core),
-                    vec![("reason", s(reason.name()))],
-                ));
-                if !event_cores.contains(&core) {
-                    event_cores.push(core);
+impl Layout {
+    fn scan(events: &[TraceEvent], samples: &[MetricSample]) -> Layout {
+        let mut layout = Layout::default();
+        // Keyed (core, epoch) in BTree order so lane assignment and span
+        // order are deterministic.
+        let mut lives: BTreeMap<EpochTag, EpochLife> = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            let ts = ev.cycle.as_u64();
+            layout.last_cycle = layout.last_cycle.max(ts);
+            // Where this event's output line sorts, if it renders one.
+            let line_ts = match ev.kind {
+                TraceEventKind::EpochPhase { tag, phase } => {
+                    let life = lives.entry(tag).or_default();
+                    let slot = match phase {
+                        EpochPhase::Ongoing => &mut life.ongoing_at,
+                        EpochPhase::Completed => &mut life.completed_at,
+                        EpochPhase::Flushing => &mut life.flushing_at,
+                        EpochPhase::Persisted => &mut life.persisted_at,
+                    };
+                    slot.get_or_insert(ts);
+                    None
                 }
+                TraceEventKind::FlushEpoch { tag, reason } => {
+                    lives
+                        .entry(tag)
+                        .or_default()
+                        .reason
+                        .get_or_insert(reason.name());
+                    layout.event_cores.insert(tag.core.as_u32());
+                    Some(ts)
+                }
+                TraceEventKind::FlushRequested { tag, .. } | TraceEventKind::PersistCmp { tag } => {
+                    layout.event_cores.insert(tag.core.as_u32());
+                    Some(ts)
+                }
+                TraceEventKind::IdtRecord { dependent, .. }
+                | TraceEventKind::IdtOverflow { dependent, .. }
+                | TraceEventKind::ConflictInter { dependent, .. } => {
+                    layout.event_cores.insert(dependent.core.as_u32());
+                    Some(ts)
+                }
+                TraceEventKind::DeadlockSplit { core, .. }
+                | TraceEventKind::ConflictIntra { core, .. } => {
+                    layout.event_cores.insert(core.as_u32());
+                    Some(ts)
+                }
+                TraceEventKind::BankFlushStart { bank, .. }
+                | TraceEventKind::BankAck { bank, .. } => {
+                    layout.bank_tids.insert(bank.as_u32());
+                    Some(ts)
+                }
+                TraceEventKind::PersistWrite { .. } => {
+                    // One event per flushed line — too dense for a viewer
+                    // track. pbm-prof reads these from the in-memory event
+                    // stream instead.
+                    None
+                }
+                TraceEventKind::StallBegin { .. } => {
+                    // The matching StallEnd carries the duration; the span
+                    // is emitted there.
+                    None
+                }
+                TraceEventKind::StallEnd { core, waited, .. } => {
+                    layout.stall_cores.insert(core.as_u32());
+                    Some(ts.saturating_sub(waited.as_u64()))
+                }
+                TraceEventKind::NocSend { class, .. } => {
+                    if !layout.noc_vnets.contains(&class.name()) {
+                        layout.noc_vnets.push(class.name());
+                    }
+                    Some(ts)
+                }
+            };
+            if let Some(ts) = line_ts {
+                layout.records.push(Record {
+                    ts,
+                    source: Source::Event(index(i)),
+                });
             }
+        }
+
+        // Execution spans, and persist-pipeline spans packed onto per-core
+        // lanes so no track holds overlapping slices.
+        let mut lanes: BTreeMap<u32, Vec<u64>> = BTreeMap::new(); // core -> lane busy-until
+        layout.lives = lives.into_iter().collect();
+        for (i, (tag, life)) in layout.lives.iter_mut().enumerate() {
+            let core = tag.core.as_u32();
+            if let Some(start) = life.ongoing_at {
+                layout.exec_cores.insert(core);
+                layout.records.push(Record {
+                    ts: start,
+                    source: Source::Exec(index(i)),
+                });
+            }
+            let Some(start) = life.completed_at.or(life.flushing_at) else {
+                continue;
+            };
+            let end = life.persisted_at.unwrap_or(layout.last_cycle);
+            let lanes = lanes.entry(core).or_default();
+            let lane = match lanes.iter().position(|&busy_until| busy_until <= start) {
+                Some(free) => free,
+                None => {
+                    lanes.push(0);
+                    lanes.len() - 1
+                }
+            };
+            lanes[lane] = end.max(start + 1);
+            life.lane = lane as u64;
+            layout.persist_tids.insert((core, life.lane));
+            layout.records.push(Record {
+                ts: start,
+                source: Source::Persist(index(i)),
+            });
+        }
+
+        for (i, sample) in samples.iter().enumerate() {
+            for c in 0..COUNTERS.len() {
+                layout.records.push(Record {
+                    ts: sample.cycle.as_u64(),
+                    source: Source::Counter(index(i * COUNTERS.len() + c)),
+                });
+            }
+        }
+        layout.records.sort_unstable();
+        layout
+    }
+}
+
+/// The output stream. Each line is assembled in `line` by the chained
+/// methods below and handed to `out` with one `write_all`: at millions of
+/// lines, `fmt`'s machinery would cost more than the bytes themselves.
+struct Writer<W> {
+    out: W,
+    line: Vec<u8>,
+    first: bool,
+}
+
+impl<W: Write> Writer<W> {
+    /// Opens a line up to the `name` value, whose text follows.
+    fn open(&mut self) -> &mut Self {
+        self.line.clear();
+        if !std::mem::take(&mut self.first) {
+            self.line.extend_from_slice(b",\n");
+        }
+        self.text("{\"name\":\"")
+    }
+
+    /// Ends the name with a duration span's fields and opens its `args`.
+    fn span(&mut self, ts: u64, dur: u64, pid: u64, tid: u64) -> &mut Self {
+        self.text("\",\"ph\":\"X\",\"ts\":")
+            .num(ts)
+            .text(",\"dur\":")
+            .num(dur)
+            .text(",\"pid\":")
+            .num(pid)
+            .text(",\"tid\":")
+            .num(tid)
+            .text(",\"args\":{")
+    }
+
+    /// Ends the name with an instant's fields and opens its `args`.
+    fn instant(&mut self, ts: u64, pid: u64, tid: u64) -> &mut Self {
+        self.text("\",\"ph\":\"i\",\"ts\":")
+            .num(ts)
+            .text(",\"pid\":")
+            .num(pid)
+            .text(",\"tid\":")
+            .num(tid)
+            .text(",\"s\":\"t\",\"args\":{")
+    }
+
+    /// Ends the name with a counter's fields and opens its `args`.
+    fn counter(&mut self, ts: u64) -> &mut Self {
+        self.text("\",\"ph\":\"C\",\"ts\":")
+            .num(ts)
+            .text(",\"pid\":")
+            .num(PID_MC)
+            .text(",\"tid\":0,\"args\":{")
+    }
+
+    /// Ends the name with a metadata record's fields and opens its `args`.
+    fn metadata(&mut self, pid: u64, tid: Option<u64>) -> &mut Self {
+        self.text("\",\"ph\":\"M\",\"pid\":").num(pid);
+        if let Some(tid) = tid {
+            self.text(",\"tid\":").num(tid);
+        }
+        self.text(",\"args\":{")
+    }
+
+    /// Starts one `args` field, comma-separated from the previous one.
+    fn key(&mut self, key: &str) -> &mut Self {
+        if self.line.last() != Some(&b'{') {
+            self.line.push(b',');
+        }
+        self.text("\"").text(key).text("\":")
+    }
+
+    fn str_arg(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key).text("\"").text(value).text("\"")
+    }
+
+    fn tag_arg(&mut self, key: &str, tag: EpochTag) -> &mut Self {
+        self.key(key).text("\"").tag(tag).text("\"")
+    }
+
+    fn num_arg(&mut self, key: &str, value: u64) -> &mut Self {
+        self.key(key).num(value)
+    }
+
+    /// Closes `args` and the object, and writes the line.
+    fn close(&mut self) -> io::Result<()> {
+        self.text("}}");
+        self.out.write_all(&self.line)
+    }
+
+    fn text(&mut self, text: &str) -> &mut Self {
+        self.line.extend_from_slice(text.as_bytes());
+        self
+    }
+
+    /// `n` in decimal, as `Display` writes it.
+    fn num(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.line.extend_from_slice(&digits[at..]);
+        self
+    }
+
+    /// `tag` as its `Display` writes it (`C3:E7`).
+    fn tag(&mut self, tag: EpochTag) -> &mut Self {
+        self.text("C")
+            .num(u64::from(tag.core.as_u32()))
+            .text(":E")
+            .num(tag.epoch.as_u64())
+    }
+
+    /// `node` as its `Display` writes it (`C3`, `B2`, `MC1`).
+    fn node(&mut self, node: NodeId) -> &mut Self {
+        let (prefix, id) = match node {
+            NodeId::Core(c) => ("C", c.as_u32()),
+            NodeId::Bank(b) => ("B", b.as_u32()),
+            NodeId::Mc(m) => ("MC", m.as_u32()),
+        };
+        self.text(prefix).num(u64::from(id))
+    }
+
+    /// A `process_name` record, then a `thread_name` record per tid (in
+    /// tid order); nothing for a track without threads.
+    fn track(&mut self, pid: u64, name: &str, threads: &[(u64, String)]) -> io::Result<()> {
+        if threads.is_empty() {
+            return Ok(());
+        }
+        self.open()
+            .text("process_name")
+            .metadata(pid, None)
+            .str_arg("name", name)
+            .close()?;
+        for (tid, tname) in threads {
+            self.open()
+                .text("thread_name")
+                .metadata(pid, Some(*tid))
+                .str_arg("name", tname)
+                .close()?;
+        }
+        Ok(())
+    }
+
+    fn event(&mut self, ev: &TraceEvent) -> io::Result<()> {
+        let ts = ev.cycle.as_u64();
+        let core = |tag: EpochTag| u64::from(tag.core.as_u32());
+        match ev.kind {
+            TraceEventKind::FlushRequested { tag, reason } => self
+                .open()
+                .text("FlushRequested ")
+                .tag(tag)
+                .instant(ts, PID_EVENTS, core(tag))
+                .str_arg("reason", reason.name()),
             TraceEventKind::BankFlushStart {
                 tag, bank, lines, ..
-            } => {
-                out.push(instant(
-                    format!("FlushStart {}", tag),
-                    ts,
-                    PID_BANKS,
-                    u64::from(bank.as_u32()),
-                    vec![
-                        ("epoch", s(tag.to_string())),
-                        ("lines", n(u64::from(lines))),
-                    ],
-                ));
-                if !bank_tids.contains(&bank.as_u32()) {
-                    bank_tids.push(bank.as_u32());
-                }
-            }
-            TraceEventKind::PersistWrite { .. } => {
-                // One event per flushed line — too dense for a viewer
-                // track. pbm-prof reads these from the in-memory event
-                // stream instead.
-            }
-            TraceEventKind::FlushEpoch { tag, reason } => {
-                let core = tag.core.as_u32();
-                out.push(instant(
-                    format!("FlushEpoch {}", tag),
-                    ts,
-                    PID_EVENTS,
-                    u64::from(core),
-                    vec![("reason", s(reason.name()))],
-                ));
-                if !event_cores.contains(&core) {
-                    event_cores.push(core);
-                }
-            }
-            TraceEventKind::BankAck { tag, bank } => {
-                out.push(instant(
-                    format!("BankAck {}", tag),
-                    ts,
-                    PID_BANKS,
-                    u64::from(bank.as_u32()),
-                    vec![("epoch", s(tag.to_string()))],
-                ));
-                if !bank_tids.contains(&bank.as_u32()) {
-                    bank_tids.push(bank.as_u32());
-                }
-            }
-            TraceEventKind::PersistCmp { tag } => {
-                let core = tag.core.as_u32();
-                out.push(instant(
-                    format!("PersistCMP {}", tag),
-                    ts,
-                    PID_EVENTS,
-                    u64::from(core),
-                    vec![("epoch", s(tag.to_string()))],
-                ));
-                if !event_cores.contains(&core) {
-                    event_cores.push(core);
-                }
-            }
+            } => self
+                .open()
+                .text("FlushStart ")
+                .tag(tag)
+                .instant(ts, PID_BANKS, u64::from(bank.as_u32()))
+                .tag_arg("epoch", tag)
+                .num_arg("lines", u64::from(lines)),
+            TraceEventKind::FlushEpoch { tag, reason } => self
+                .open()
+                .text("FlushEpoch ")
+                .tag(tag)
+                .instant(ts, PID_EVENTS, core(tag))
+                .str_arg("reason", reason.name()),
+            TraceEventKind::BankAck { tag, bank } => self
+                .open()
+                .text("BankAck ")
+                .tag(tag)
+                .instant(ts, PID_BANKS, u64::from(bank.as_u32()))
+                .tag_arg("epoch", tag),
+            TraceEventKind::PersistCmp { tag } => self
+                .open()
+                .text("PersistCMP ")
+                .tag(tag)
+                .instant(ts, PID_EVENTS, core(tag))
+                .tag_arg("epoch", tag),
             TraceEventKind::IdtRecord { source, dependent }
             | TraceEventKind::IdtOverflow { source, dependent }
             | TraceEventKind::ConflictInter { source, dependent } => {
-                let core = dependent.core.as_u32();
                 let name = match ev.kind {
                     TraceEventKind::IdtRecord { .. } => "IDT record",
                     TraceEventKind::IdtOverflow { .. } => "IDT overflow",
                     _ => "inter-thread conflict",
                 };
-                out.push(instant(
-                    name.to_string(),
-                    ts,
-                    PID_EVENTS,
-                    u64::from(core),
-                    vec![
-                        ("source", s(source.to_string())),
-                        ("dependent", s(dependent.to_string())),
-                    ],
-                ));
-                if !event_cores.contains(&core) {
-                    event_cores.push(core);
-                }
+                self.open()
+                    .text(name)
+                    .instant(ts, PID_EVENTS, core(dependent))
+                    .tag_arg("source", source)
+                    .tag_arg("dependent", dependent)
             }
             TraceEventKind::DeadlockSplit { core, epoch }
             | TraceEventKind::ConflictIntra { core, epoch } => {
@@ -324,163 +448,174 @@ pub fn export_chrome_trace(events: &[TraceEvent], samples: &[MetricSample]) -> S
                     TraceEventKind::DeadlockSplit { .. } => "deadlock split",
                     _ => "intra-thread conflict",
                 };
-                out.push(instant(
-                    name.to_string(),
-                    ts,
-                    PID_EVENTS,
-                    u64::from(core.as_u32()),
-                    vec![("epoch", s(format!("{core}:{epoch}")))],
-                ));
-                if !event_cores.contains(&core.as_u32()) {
-                    event_cores.push(core.as_u32());
-                }
+                self.open()
+                    .text(name)
+                    .instant(ts, PID_EVENTS, u64::from(core.as_u32()))
+                    .tag_arg("epoch", EpochTag::new(core, epoch))
             }
-            TraceEventKind::StallBegin { .. } => {
-                // The matching StallEnd carries the duration; the span is
-                // emitted there.
-            }
-            TraceEventKind::StallEnd { core, kind, waited } => {
-                let start = ts.saturating_sub(waited.as_u64());
-                out.push(span(
-                    format!("stall: {}", kind.name()),
-                    start,
+            TraceEventKind::StallEnd { core, kind, waited } => self
+                .open()
+                .text("stall: ")
+                .text(kind.name())
+                .span(
+                    ts.saturating_sub(waited.as_u64()),
                     waited.as_u64(),
                     PID_STALLS,
                     u64::from(core.as_u32()),
-                    vec![("kind", s(kind.name()))],
-                ));
-                if !stall_cores.contains(&core.as_u32()) {
-                    stall_cores.push(core.as_u32());
-                }
-            }
+                )
+                .str_arg("kind", kind.name()),
             TraceEventKind::NocSend {
                 src,
                 dst,
                 class,
                 arrival,
-            } => {
-                let vnet = class.name();
-                out.push(instant(
-                    format!("{src}->{dst}"),
-                    ts,
-                    PID_NOC,
-                    class as u64,
-                    vec![("class", s(vnet)), ("arrival", n(arrival.as_u64()))],
-                ));
-                if !noc_vnets.contains(&vnet) {
-                    noc_vnets.push(vnet);
-                }
+            } => self
+                .open()
+                .node(src)
+                .text("->")
+                .node(dst)
+                .instant(ts, PID_NOC, class as u64)
+                .str_arg("class", class.name())
+                .num_arg("arrival", arrival.as_u64()),
+            // The pre-scan indexes no record for these.
+            TraceEventKind::EpochPhase { .. }
+            | TraceEventKind::PersistWrite { .. }
+            | TraceEventKind::StallBegin { .. } => return Ok(()),
+        };
+        self.close()
+    }
+}
+
+/// Streams the event stream plus metric samples to `out` as one Chrome
+/// trace-event JSON document: a pre-scan, a sorted 16-byte-per-line index,
+/// then one write pass (see the [module docs](self)). Deterministic:
+/// identical inputs yield identical bytes. `out` receives one `write_all`
+/// per line, so pass a buffered writer (`BufWriter`, `Vec<u8>`).
+///
+/// # Errors
+///
+/// Returns the first error `out` reports; the document is then truncated.
+pub fn write_chrome_trace(
+    out: impl Write,
+    events: &[TraceEvent],
+    samples: &[MetricSample],
+) -> io::Result<()> {
+    let layout = Layout::scan(events, samples);
+    let mut w = Writer {
+        out,
+        line: Vec::with_capacity(256),
+        first: true,
+    };
+    w.out.write_all(b"{\"traceEvents\":[\n")?;
+
+    // Track naming metadata, ahead of the content.
+    let cores = |set: &BTreeSet<u32>| -> Vec<(u64, String)> {
+        set.iter()
+            .map(|&c| (u64::from(c), format!("C{c}")))
+            .collect()
+    };
+    let persist: Vec<_> = layout
+        .persist_tids
+        .iter()
+        .map(|&(c, l)| (u64::from(c) * LANE_STRIDE + l, format!("C{c} lane{l}")))
+        .collect();
+    let banks: Vec<_> = layout
+        .bank_tids
+        .iter()
+        .map(|&b| (u64::from(b), format!("B{b}")))
+        .collect();
+    let vnets: Vec<_> = layout
+        .noc_vnets
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (i as u64, format!("vnet {v}")))
+        .collect();
+    let counters = if samples.is_empty() {
+        Vec::new()
+    } else {
+        vec![(0, "counters".to_string())]
+    };
+    w.track(PID_EXEC, "cores: execution", &cores(&layout.exec_cores))?;
+    w.track(PID_PERSIST, "cores: persist pipeline", &persist)?;
+    w.track(PID_STALLS, "cores: stalls", &cores(&layout.stall_cores))?;
+    w.track(PID_EVENTS, "cores: events", &cores(&layout.event_cores))?;
+    w.track(PID_BANKS, "llc banks", &banks)?;
+    w.track(PID_NOC, "noc", &vnets)?;
+    w.track(PID_MC, "memory controllers", &counters)?;
+
+    // The content, one line per record, rendered from its source.
+    for record in &layout.records {
+        let ts = record.ts;
+        match record.source {
+            Source::Exec(i) => {
+                let (tag, life) = &layout.lives[i as usize];
+                let end = life
+                    .completed_at
+                    .or(life.flushing_at)
+                    .or(life.persisted_at)
+                    .unwrap_or(layout.last_cycle);
+                w.open()
+                    .text("E")
+                    .num(tag.epoch.as_u64())
+                    .span(
+                        ts,
+                        end.saturating_sub(ts),
+                        PID_EXEC,
+                        u64::from(tag.core.as_u32()),
+                    )
+                    .tag_arg("epoch", *tag)
+                    .close()?;
+            }
+            Source::Persist(i) => {
+                let (tag, life) = &layout.lives[i as usize];
+                let end = life.persisted_at.unwrap_or(layout.last_cycle);
+                w.open()
+                    .text("E")
+                    .num(tag.epoch.as_u64())
+                    .text(" flush")
+                    .span(
+                        ts,
+                        end.saturating_sub(ts),
+                        PID_PERSIST,
+                        u64::from(tag.core.as_u32()) * LANE_STRIDE + life.lane,
+                    )
+                    .tag_arg("epoch", *tag)
+                    .str_arg("reason", life.reason.unwrap_or("unknown"))
+                    .close()?;
+            }
+            Source::Event(i) => w.event(&events[i as usize])?,
+            Source::Counter(i) => {
+                let (sample, counter) = (i as usize / COUNTERS.len(), i as usize % COUNTERS.len());
+                let sample = &samples[sample];
+                let value = match counter {
+                    0 => sample.mc_queue_depth,
+                    1 => u64::from(sample.stalled_cores),
+                    _ => sample.nvram_writes,
+                };
+                w.open()
+                    .text(COUNTERS[counter])
+                    .counter(ts)
+                    .num_arg("value", value)
+                    .close()?;
             }
         }
     }
+    w.out.write_all(b"\n]}\n")?;
+    w.out.flush()
+}
 
-    // Counter tracks from the periodic samples.
-    for sample in samples {
-        let ts = sample.cycle.as_u64();
-        out.push(counter("mc_queue_depth", ts, sample.mc_queue_depth));
-        out.push(counter(
-            "stalled_cores",
-            ts,
-            u64::from(sample.stalled_cores),
-        ));
-        out.push(counter("nvram_writes", ts, sample.nvram_writes));
-    }
-
-    // Stable sort by timestamp keeps ties in emission order, which is
-    // itself deterministic.
-    out.sort_by_key(|e| e.get("ts").and_then(JsonValue::as_u64).unwrap_or(0));
-
-    // Track naming metadata, emitted ahead of the content.
-    let mut doc: Vec<JsonValue> = Vec::with_capacity(out.len() + 32);
-    for (pid, name, tids) in [
-        (
-            PID_EXEC,
-            "cores: execution",
-            exec_cores
-                .iter()
-                .map(|&c| (u64::from(c), format!("C{c}")))
-                .collect::<Vec<_>>(),
-        ),
-        (
-            PID_PERSIST,
-            "cores: persist pipeline",
-            persist_tids
-                .iter()
-                .map(|&(c, l)| (u64::from(c) * LANE_STRIDE + l, format!("C{c} lane{l}")))
-                .collect(),
-        ),
-        (
-            PID_STALLS,
-            "cores: stalls",
-            stall_cores
-                .iter()
-                .map(|&c| (u64::from(c), format!("C{c}")))
-                .collect(),
-        ),
-        (
-            PID_EVENTS,
-            "cores: events",
-            event_cores
-                .iter()
-                .map(|&c| (u64::from(c), format!("C{c}")))
-                .collect(),
-        ),
-        (
-            PID_BANKS,
-            "llc banks",
-            bank_tids
-                .iter()
-                .map(|&b| (u64::from(b), format!("B{b}")))
-                .collect(),
-        ),
-        (
-            PID_NOC,
-            "noc",
-            noc_vnets
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (i as u64, format!("vnet {v}")))
-                .collect(),
-        ),
-        (
-            PID_MC,
-            "memory controllers",
-            if samples.is_empty() {
-                Vec::new()
-            } else {
-                vec![(0, "counters".to_string())]
-            },
-        ),
-    ] {
-        if tids.is_empty() {
-            continue;
-        }
-        doc.push(metadata("process_name", pid, None, name));
-        let mut tids = tids;
-        tids.sort();
-        for (tid, tname) in tids {
-            doc.push(metadata("thread_name", pid, Some(tid), &tname));
-        }
-    }
-    doc.extend(out);
-
-    // Assemble the document with one event per line for greppability.
-    let mut text = String::with_capacity(doc.len() * 128 + 64);
-    text.push_str("{\"traceEvents\":[\n");
-    for (i, event) in doc.iter().enumerate() {
-        if i > 0 {
-            text.push_str(",\n");
-        }
-        text.push_str(&event.to_json());
-    }
-    text.push_str("\n]}\n");
-    text
+/// Exports the event stream plus metric samples as one Chrome trace-event
+/// JSON document in memory: [`write_chrome_trace`] into a `String`.
+pub fn export_chrome_trace(events: &[TraceEvent], samples: &[MetricSample]) -> String {
+    let mut buf = Vec::new();
+    write_chrome_trace(&mut buf, events, samples).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("the trace is UTF-8")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::{self, JsonValue};
     use pbm_types::{BankId, CoreId, Cycle, EpochId, EpochPhase, EpochTag, FlushReason, StallKind};
 
     fn lifecycle(core: u32, epoch: u64, t0: u64) -> Vec<TraceEvent> {
@@ -670,6 +805,63 @@ mod tests {
         let a = export_chrome_trace(&events, &[]);
         let b = export_chrome_trace(&events, &[]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn records_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+    }
+
+    #[test]
+    fn ids_render_as_their_display() {
+        let mut w = Writer {
+            out: io::sink(),
+            line: Vec::new(),
+            first: true,
+        };
+        let tag = EpochTag::new(CoreId::new(31), EpochId::new(1_234_567));
+        for node in [
+            NodeId::Core(CoreId::new(0)),
+            NodeId::Bank(BankId::new(17)),
+            NodeId::Mc(pbm_types::McId::new(3)),
+        ] {
+            w.line.clear();
+            w.node(node);
+            assert_eq!(w.line, node.to_string().as_bytes());
+        }
+        w.line.clear();
+        w.tag(tag).text(" ").num(0).text(" ").num(u64::MAX);
+        assert_eq!(w.line, format!("{tag} 0 {}", u64::MAX).as_bytes());
+    }
+
+    /// Accepts `budget` bytes, then fails every write.
+    struct FailsAfter(usize);
+
+    impl Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.0 {
+                return Err(io::Error::other("device full"));
+            }
+            self.0 -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_returns_its_error() {
+        let mut events = lifecycle(0, 1, 100);
+        events.extend(lifecycle(1, 1, 120));
+        let full = export_chrome_trace(&events, &[]).len();
+        for budget in [0, 40, full / 2, full - 1] {
+            let err = write_chrome_trace(FailsAfter(budget), &events, &[])
+                .expect_err("the writer fails before the document ends");
+            assert_eq!(err.to_string(), "device full", "budget {budget}");
+        }
+        write_chrome_trace(FailsAfter(full), &events, &[]).expect("exactly enough room");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pbm::obs::{chrome, json, metrics_csv};
 use pbm::prelude::*;
-use pbm_types::{MetricSample, TraceEvent, TraceEventKind};
+use pbm_types::{EpochPhase, MetricSample, TraceEvent, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,6 +161,69 @@ fn chrome_export_is_valid_and_has_per_core_epoch_tracks() {
             .any(|e| e.get("ph").and_then(|v| v.as_str()) == Some("C")),
         "expected counter events from the metric samples"
     );
+}
+
+/// The export of a full `traced_run` (about 250 KB) is one valid document:
+/// all track metadata first, content in `ts` order, and exactly one line
+/// per exported stream event, epoch span and counter value.
+#[test]
+fn chrome_export_at_realistic_size_is_ordered_and_complete() {
+    let (events, samples) = traced_run(7);
+    let text = chrome::export_chrome_trace(&events, &samples);
+    assert!(text.len() > 200_000, "export is {} bytes", text.len());
+    let doc = json::parse(&text).expect("chrome trace is valid JSON");
+    let items = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array");
+    let is_meta = |e: &json::JsonValue| e.get("ph").and_then(|v| v.as_str()) == Some("M");
+    let first_content = items.iter().position(|e| !is_meta(e)).expect("content");
+    assert!(first_content > 0, "metadata precedes the content");
+    assert!(
+        items[first_content..].iter().all(|e| !is_meta(e)),
+        "every metadata record comes before the first content record"
+    );
+    let ts: Vec<u64> = items[first_content..]
+        .iter()
+        .map(|e| {
+            e.get("ts")
+                .and_then(|v| v.as_u64())
+                .expect("content has ts")
+        })
+        .collect();
+    assert!(
+        ts.windows(2).all(|w| w[0] <= w[1]),
+        "content ts never decreases"
+    );
+
+    // Expected lines, counted from the events: every stream event except
+    // phase changes, per-line persist writes and stall begins (the stall
+    // end carries the span); one execution span per epoch that went
+    // Ongoing and one persist span per epoch that closed or flushed.
+    let exported = events
+        .iter()
+        .filter(|e| {
+            !matches!(
+                e.kind,
+                TraceEventKind::EpochPhase { .. }
+                    | TraceEventKind::PersistWrite { .. }
+                    | TraceEventKind::StallBegin { .. }
+            )
+        })
+        .count();
+    let spans_with = |phases: &[EpochPhase]| {
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::EpochPhase { tag, phase } if phases.contains(&phase) => Some(tag),
+                _ => None,
+            })
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+    };
+    let spans = spans_with(&[EpochPhase::Ongoing])
+        + spans_with(&[EpochPhase::Completed, EpochPhase::Flushing]);
+    assert_eq!(ts.len(), exported + spans + 3 * samples.len());
 }
 
 /// The Chrome export of a short two-core run, pinned byte for byte. It
