@@ -225,12 +225,12 @@ pub fn differential_round(cfg: &CampaignConfig, report: &mut CampaignReport) {
 #[cfg(feature = "bug-inject")]
 pub mod bugs {
     use super::*;
+    use crate::case::simulate;
     use crate::shrink::{shrink, DEFAULT_MAX_RUNS};
-    use pbm_sim::{SchedulePerturbation, System};
+    use pbm_sim::System;
     use pbm_types::bug::{self, InjectedBug};
-    use pbm_types::Cycle;
+    use pbm_types::LineAddr;
     use pbm_workloads::commit;
-    use std::collections::BTreeMap;
 
     /// What hunting one injected bug produced.
     #[derive(Debug, Clone)]
@@ -309,59 +309,45 @@ pub mod bugs {
         }
     }
 
-    /// Runs a commit-protocol case and sweeps every crash cycle for the
-    /// *application* invariant: if the commit flag is durable at
-    /// [`commit::flag_value`]`(t)` then every data line is durable at
-    /// [`commit::data_value`]`(t)` or newer.
+    /// Runs a commit-protocol case and checks every crash state
+    /// ([`System::crash_sweep`]) for the *application* invariant: if the
+    /// commit flag is durable at [`commit::flag_value`]`(t)` then every
+    /// data line is durable at [`commit::data_value`]`(t)` or newer. A
+    /// panicking run is reported as [`FailureKind::Panic`], as in
+    /// `run_case`.
     ///
     /// The hardware stays BEP-consistent whether or not the programmer's
     /// data barrier is present — `run_case` cannot see this bug — so the
     /// campaign checks the protocol's own crash invariant instead.
     pub fn run_commit_case(spec: &CaseSpec) -> Result<(), FailureKind> {
-        let mut sys = System::new(spec.config(), spec.programs.clone()).expect("valid config");
-        sys.enable_checking();
-        if let Some(seed) = spec.perturb_seed {
-            sys.set_perturbation(&SchedulePerturbation::from_seed(seed));
-        }
-        let _ = sys.run();
-        // Durable state only changes at persist instants; probe each
-        // boundary and one cycle before it, as `run_case` does.
-        let mut points: Vec<Cycle> = vec![Cycle::ZERO];
-        points.extend(sys.persist_times());
-        for i in 0..points.len() {
-            let t = points[i];
-            points.push(Cycle::new(t.as_u64().saturating_sub(1)));
-        }
-        points.sort_unstable();
-        points.dedup();
-        for &at in &points {
-            let values: BTreeMap<u64, u32> = sys
-                .persistent_snapshot_at(at)
-                .iter()
-                .map(|(line, token)| (line.as_u64(), System::token_value(token)))
-                .collect();
-            let Some(&flag) = values.get(&commit::FLAG_LINE) else {
-                continue;
+        let (sys, _) = simulate(spec)?;
+        sys.crash_sweep(|_, snap| {
+            let value = |line| {
+                snap.line(LineAddr::new(line))
+                    .map_or(0, System::token_value)
             };
+            let flag = value(commit::FLAG_LINE);
             if flag == 0 {
-                continue;
+                return Ok(());
             }
             let tx = u64::from(flag) - 1; // flag_value(tx) = 1 + tx
             let want = commit::data_value(tx);
             for i in 0..commit::DATA_LINES {
                 let line = commit::DATA_BASE_LINE + i;
-                let got = values.get(&line).copied().unwrap_or(0);
+                let got = value(line);
                 if got < want {
-                    return Err(FailureKind::Violation {
-                        at: at.as_u64(),
-                        message: format!(
-                            "commit flag durable for tx {tx} but data line {line} \
-                             holds {got} < {want}: published data is not durable"
-                        ),
-                    });
+                    return Err(format!(
+                        "commit flag durable for tx {tx} but data line {line} \
+                         holds {got} < {want}: published data is not durable"
+                    ));
                 }
             }
-        }
+            Ok(())
+        })
+        .map_err(|(at, message)| FailureKind::Violation {
+            at: at.as_u64(),
+            message,
+        })?;
         Ok(())
     }
 

@@ -1,11 +1,9 @@
 //! One fuzzing case: a (programs, barrier, persistency, schedule) tuple,
 //! run to completion and checked at every crash cycle that matters.
 //!
-//! The crash sweep is exhaustive, not sampled: the durable state only
-//! changes at NVRAM persist timestamps (and, under BSP, recovery only
-//! changes at undo-log durability/commit timestamps), so checking at cycle
-//! 0 and at each of those instants covers every distinct crash state the
-//! run could exhibit.
+//! The crash sweep is exhaustive, not sampled: [`System::crash_sweep`]
+//! visits every distinct durable (under BSP, recovered) state the run
+//! could leave behind.
 
 use pbm_sim::{Program, SchedulePerturbation, System};
 use pbm_types::{BarrierKind, Cycle, PersistencyKind, SimStats, SystemConfig};
@@ -135,11 +133,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one case end to end: simulate, then sweep every distinct crash
-/// state and check the model's guarantee at each.
-pub fn run_case(spec: &CaseSpec) -> Result<CaseOk, FailureKind> {
+/// Builds `spec`'s system with checking on, applies its perturbation and
+/// runs it. A panic (wedge, livelock watchdog, protocol assertion, invalid
+/// case) becomes [`FailureKind::Panic`] instead of unwinding further.
+pub(crate) fn simulate(spec: &CaseSpec) -> Result<(System, SimStats), FailureKind> {
     let _quiet = quiet_panics();
-    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+    panic::catch_unwind(AssertUnwindSafe(|| {
         let mut sys = System::new(spec.config(), spec.programs.clone()).expect("valid config");
         sys.enable_checking();
         if let Some(seed) = spec.perturb_seed {
@@ -147,49 +146,31 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOk, FailureKind> {
         }
         let stats = sys.run();
         (sys, stats)
-    }));
-    let (sys, stats) = match ran {
-        Ok(v) => v,
-        Err(payload) => return Err(FailureKind::Panic(panic_message(payload))),
-    };
+    }))
+    .map_err(|payload| FailureKind::Panic(panic_message(payload)))
+}
+
+/// Runs one case end to end: simulate, then check the model's guarantee
+/// at every distinct crash state ([`System::crash_sweep`]).
+pub fn run_case(spec: &CaseSpec) -> Result<CaseOk, FailureKind> {
+    let (sys, stats) = simulate(spec)?;
     let ck = sys.checker().expect("checking enabled");
     if !ck.hb_graph().is_acyclic() {
         return Err(FailureKind::CyclicDependences);
     }
-    // Every instant the durable (or recovered) state can change.
-    let mut points: Vec<Cycle> = vec![Cycle::ZERO];
-    points.extend(sys.persist_times());
-    if spec.persistency == PersistencyKind::BufferedStrictBulk {
-        for rec in sys.undo_log().records() {
-            points.push(rec.durable_at);
-            if let Some(c) = rec.committed_at {
-                points.push(c);
+    let bsp = spec.persistency == PersistencyKind::BufferedStrictBulk;
+    let crash_points = sys
+        .crash_sweep(|_, snap| {
+            if bsp {
+                ck.check_bsp_recovered(snap)
+            } else {
+                ck.check_bep(snap)
             }
-        }
-    }
-    // Also probe one cycle before each boundary, covering either snapshot
-    // inclusivity convention.
-    for i in 0..points.len() {
-        let t = points[i];
-        points.push(Cycle::new(t.as_u64().saturating_sub(1)));
-    }
-    points.sort_unstable();
-    points.dedup();
-    for &at in &points {
-        let snap = sys.persistent_snapshot_at(at);
-        let checked = if spec.persistency == PersistencyKind::BufferedStrictBulk {
-            let (recovered, _) = snap.recover_with(sys.undo_log());
-            ck.check_bsp_recovered(&recovered)
-        } else {
-            ck.check_bep(&snap)
-        };
-        if let Err(v) = checked {
-            return Err(FailureKind::Violation {
-                at: at.as_u64(),
-                message: v.to_string(),
-            });
-        }
-    }
+        })
+        .map_err(|(at, v)| FailureKind::Violation {
+            at: at.as_u64(),
+            message: v.to_string(),
+        })?;
     let final_values = sys
         .persistent_snapshot_at(Cycle::new(u64::MAX))
         .iter()
@@ -197,7 +178,7 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOk, FailureKind> {
         .collect();
     Ok(CaseOk {
         stats,
-        crash_points: points.len(),
+        crash_points,
         final_values,
         epoch_lines: ck.epoch_line_write_count() as u64,
     })

@@ -5,9 +5,10 @@
 //! sample. This crate attacks them systematically:
 //!
 //! * [`case`] — runs one (programs, barrier, persistency, schedule) tuple
-//!   and checks the model at every crash cycle where the durable state can
-//!   differ (NVRAM persist timestamps; undo-log durability and commit
-//!   timestamps under BSP). The sweep is exhaustive, not sampled.
+//!   and checks the model in every distinct crash state that
+//!   `pbm_sim::System::crash_sweep` visits (NVRAM persist timestamps;
+//!   undo-log durability and commit timestamps under BSP). The sweep is
+//!   exhaustive, not sampled.
 //! * [`campaign`] — fuzzes the full matrix of lazy barriers × persistency
 //!   models with random programs and seed-perturbed schedules (NoC hop
 //!   jitter, memory-controller service jitter, LLC bank service rotation —

@@ -9,9 +9,11 @@
 #![cfg(feature = "bug-inject")]
 
 use pbm_check::artifact::{decode_case, encode_case};
-use pbm_check::campaign::bugs::run_bug_campaign;
-use pbm_check::run_case;
+use pbm_check::campaign::bugs::{run_bug_campaign, run_commit_case};
+use pbm_check::{run_case, CaseSpec, FailureKind};
+use pbm_sim::Program;
 use pbm_types::bug::InjectedBug;
+use pbm_types::{BarrierKind, PersistencyKind};
 
 #[test]
 fn every_injected_bug_is_caught_shrunk_and_archived() {
@@ -36,4 +38,19 @@ fn every_injected_bug_is_caught_shrunk_and_archived() {
             panic!("{bug}: shrunk case dirty on the real design: {f}");
         }
     }
+}
+
+/// A commit-protocol case whose system cannot be built (five programs on
+/// the four-core test system) is reported as a panic, not propagated.
+#[test]
+fn commit_case_panic_is_a_failure() {
+    let spec = CaseSpec {
+        programs: vec![Program::empty(); 5],
+        barrier: BarrierKind::LbPp,
+        persistency: PersistencyKind::BufferedEpoch,
+        perturb_seed: None,
+        bsp_epoch_size: 7,
+        seed: 0,
+    };
+    assert!(matches!(run_commit_case(&spec), Err(FailureKind::Panic(_))));
 }

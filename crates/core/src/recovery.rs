@@ -164,11 +164,6 @@ impl ConsistencyChecker {
         hb
     }
 
-    /// Total committed writes recorded.
-    pub fn write_count(&self) -> usize {
-        self.by_token.len()
-    }
-
     /// Total distinct `(epoch, line)` pairs recorded — the exact number of
     /// line writes a coalescing epoch-flush protocol must issue to NVRAM.
     ///
@@ -178,18 +173,6 @@ impl ConsistencyChecker {
     /// `pbm-check`).
     pub fn epoch_line_write_count(&self) -> usize {
         self.epoch_writes.values().map(HashMap::len).sum()
-    }
-
-    /// The lines `tag` wrote, with its last token for each (diagnostics).
-    pub fn epoch_write_lines(&self, tag: EpochTag) -> Vec<(LineAddr, LineValue)> {
-        self.epoch_writes
-            .get(&tag)
-            .map(|m| {
-                m.iter()
-                    .map(|(l, pos)| (*l, self.writes[l][*pos].0))
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// True if `tag` has at least one durable effect in `snap`.

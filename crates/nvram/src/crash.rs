@@ -8,8 +8,7 @@ use std::collections::HashMap;
 /// The durable contents of NVRAM at a crash point.
 ///
 /// Produced by [`NvramDevice::snapshot_at`](crate::NvramDevice::snapshot_at)
-/// (reconstruction from the write journal) or
-/// [`NvramDevice::snapshot_now`](crate::NvramDevice::snapshot_now).
+/// (reconstruction from the write journal).
 /// [`DurableSnapshot::recover_with`] applies the BSP undo log, yielding the
 /// state a real recovery procedure would observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,11 +21,6 @@ impl DurableSnapshot {
     /// Wraps a durable line map taken at cycle `at`.
     pub fn new(lines: HashMap<LineAddr, LineValue>, at: Cycle) -> Self {
         DurableSnapshot { lines, at }
-    }
-
-    /// The crash cycle this snapshot represents.
-    pub fn at(&self) -> Cycle {
-        self.at
     }
 
     /// Durable value of `line`, or `None` if never persisted by the crash.
@@ -96,7 +90,6 @@ mod tests {
     #[test]
     fn accessors() {
         let s = snap(&[(1, 10), (2, 20)], 100);
-        assert_eq!(s.at(), Cycle::new(100));
         assert_eq!(s.line(LineAddr::new(1)), Some(10));
         assert_eq!(s.line(LineAddr::new(3)), None);
         assert_eq!(s.len(), 2);

@@ -75,11 +75,6 @@ impl NvramDevice {
         self.reads
     }
 
-    /// Number of distinct lines currently holding durable data.
-    pub fn resident_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Reconstructs the durable state as of cycle `at` (inclusive).
     ///
     /// # Panics
@@ -99,17 +94,13 @@ impl NvramDevice {
         DurableSnapshot::new(lines, at)
     }
 
-    /// The current durable state as a snapshot (works without history).
-    pub fn snapshot_now(&self, at: Cycle) -> DurableSnapshot {
-        DurableSnapshot::new(self.lines.clone(), at)
-    }
-
     /// The distinct cycles at which at least one durable write completed,
     /// sorted ascending.
     ///
-    /// Durable state only changes at these instants, so a crash sweep over
-    /// `{0} ∪ persist_times()` is *exhaustive*: it observes every durable
-    /// state the run ever exposed (the `pbm-check` harness relies on this).
+    /// The durable line contents only change at these instants. Under BSP
+    /// the state after undo-log recovery also changes when a log record
+    /// becomes durable or its epoch commits, so an exhaustive crash sweep
+    /// (`pbm_sim::System::crash_sweep`) adds those instants.
     ///
     /// # Panics
     ///
@@ -139,7 +130,6 @@ mod tests {
         assert_eq!(nv.peek(LineAddr::new(5)), Some(42));
         assert_eq!(nv.write_count(), 1);
         assert_eq!(nv.read_count(), 2);
-        assert_eq!(nv.resident_lines(), 1);
     }
 
     #[test]
@@ -148,7 +138,6 @@ mod tests {
         nv.persist(LineAddr::new(1), 1, Cycle::new(1));
         nv.persist(LineAddr::new(1), 2, Cycle::new(2));
         assert_eq!(nv.peek(LineAddr::new(1)), Some(2));
-        assert_eq!(nv.resident_lines(), 1);
         assert_eq!(nv.write_count(), 2);
     }
 
@@ -181,13 +170,5 @@ mod tests {
     fn snapshot_without_history_panics() {
         let nv = NvramDevice::new();
         let _ = nv.snapshot_at(Cycle::new(1));
-    }
-
-    #[test]
-    fn snapshot_now_works_without_history() {
-        let mut nv = NvramDevice::new();
-        nv.persist(LineAddr::new(9), 9, Cycle::new(9));
-        let s = nv.snapshot_now(Cycle::new(9));
-        assert_eq!(s.line(LineAddr::new(9)), Some(9));
     }
 }

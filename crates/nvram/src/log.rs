@@ -116,15 +116,6 @@ impl UndoLog {
             .rev()
             .filter(move |r| r.durable_at <= at && !matches!(r.committed_at, Some(c) if c <= at))
     }
-
-    /// Drops committed records older than `at` (log truncation / space
-    /// reclamation). Returns how many records were reclaimed.
-    pub fn truncate_committed(&mut self, at: Cycle) -> usize {
-        let before = self.records.len();
-        self.records
-            .retain(|r| !matches!(r.committed_at, Some(c) if c <= at));
-        before - self.records.len()
-    }
 }
 
 #[cfg(test)]
@@ -177,16 +168,5 @@ mod tests {
         assert_eq!(log.committed_epoch_count(), 1);
         let r = log.records()[0];
         assert_eq!(r.committed_at, Some(Cycle::new(2)), "first commit wins");
-    }
-
-    #[test]
-    fn truncation_reclaims_committed_only() {
-        let mut log = UndoLog::new();
-        log.append(tag(0, 0), LineAddr::new(1), Some(1), Cycle::new(1));
-        log.append(tag(0, 1), LineAddr::new(2), Some(2), Cycle::new(2));
-        log.commit_epoch(tag(0, 0), Cycle::new(10));
-        assert_eq!(log.truncate_committed(Cycle::new(20)), 1);
-        assert_eq!(log.records().len(), 1);
-        assert_eq!(log.records()[0].tag, tag(0, 1));
     }
 }

@@ -17,7 +17,6 @@
 //! not a model artifact.
 
 use crate::system::System;
-use pbm_types::Cycle;
 
 /// A seeded, bounded perturbation of the timing model.
 ///
@@ -123,23 +122,13 @@ impl System {
             _ => 0,
         }
     }
-
-    /// The distinct cycles at which durable state changed, sorted
-    /// ascending — the exhaustive crash-sweep points for this run.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`System::enable_checking`] was called before the run.
-    pub fn persist_times(&self) -> Vec<Cycle> {
-        self.nvram.persist_times()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ProgramBuilder;
-    use pbm_types::{Addr, SystemConfig};
+    use pbm_types::{Addr, Cycle, SystemConfig};
 
     fn programs() -> Vec<crate::Program> {
         (0..4u64)

@@ -530,6 +530,61 @@ impl System {
         DurableSnapshot::new(lines, at)
     }
 
+    /// Calls `check` on every distinct crash state of the last run, in
+    /// ascending crash-cycle order, and returns how many crash points it
+    /// checked. Stops at the first `Err` and returns it with its cycle.
+    ///
+    /// The state a crash leaves behind only changes when an NVRAM write
+    /// completes, and, under BSP, when an undo-log record becomes durable
+    /// or its epoch commits. The points are cycle 0, each of those
+    /// instants, and the cycle before each (covering either snapshot
+    /// inclusivity convention); a crash at any other cycle leaves the
+    /// state of the greatest point before it. Under BSP `check` sees the
+    /// state after undo-log recovery.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`System::enable_checking`] was called before the run.
+    pub fn crash_sweep<E>(
+        &self,
+        mut check: impl FnMut(Cycle, &DurableSnapshot) -> Result<(), E>,
+    ) -> Result<usize, (Cycle, E)> {
+        let bsp = self.sem.needs_logging();
+        let mut points = vec![Cycle::ZERO];
+        points.extend(self.persist_times());
+        if bsp {
+            for rec in self.log.records() {
+                points.push(rec.durable_at);
+                points.extend(rec.committed_at);
+            }
+        }
+        for i in 0..points.len() {
+            points.push(Cycle::new(points[i].as_u64().saturating_sub(1)));
+        }
+        points.sort_unstable();
+        points.dedup();
+        for &at in &points {
+            let mut snap = self.persistent_snapshot_at(at);
+            if bsp {
+                snap = snap.recover_with(&self.log).0;
+            }
+            check(at, &snap).map_err(|e| (at, e))?;
+        }
+        Ok(points.len())
+    }
+
+    /// The distinct cycles at which an NVRAM write completed, sorted
+    /// ascending. These cover NVRAM writes only: under BSP the undo log
+    /// changes the recovered state at other instants too, and
+    /// [`System::crash_sweep`] visits the exhaustive set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`System::enable_checking`] was called before the run.
+    pub fn persist_times(&self) -> Vec<Cycle> {
+        self.nvram.persist_times()
+    }
+
     /// The consistency checker journal (populated when checking was
     /// enabled).
     pub fn checker(&self) -> Option<&ConsistencyChecker> {

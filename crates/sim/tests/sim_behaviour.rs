@@ -300,16 +300,10 @@ fn crash_snapshots_respect_epoch_order() {
     }
     let mut sys = System::new(cfg(BarrierKind::LbPp), vec![p0.build(), p1.build()]).unwrap();
     sys.enable_checking();
-    let stats = sys.run();
+    sys.run();
     let ck = sys.checker().unwrap();
-    // Scan a spread of crash points across the run (and past the drain).
-    let horizon = stats.cycles + 20_000;
-    for k in 0..60 {
-        let at = Cycle::new(horizon * k / 59);
-        let snap = sys.persistent_snapshot_at(at);
-        ck.check_bep(&snap)
-            .unwrap_or_else(|v| panic!("violation at {at}: {v}"));
-    }
+    sys.crash_sweep(|_, snap| ck.check_bep(snap))
+        .unwrap_or_else(|(at, v)| panic!("violation at {at}: {v}"));
 }
 
 #[test]
@@ -323,16 +317,10 @@ fn bsp_crash_recovery_is_atomic() {
     }
     let mut sys = System::new(c, vec![b.build()]).unwrap();
     sys.enable_checking();
-    let stats = sys.run();
+    sys.run();
     let ck = sys.checker().unwrap();
-    let horizon = stats.cycles + 20_000;
-    for k in 0..60 {
-        let at = Cycle::new(horizon * k / 59);
-        let snap = sys.persistent_snapshot_at(at);
-        let (recovered, _) = snap.recover_with(sys.undo_log());
-        ck.check_bsp_recovered(&recovered)
-            .unwrap_or_else(|v| panic!("violation at {at}: {v}"));
-    }
+    sys.crash_sweep(|_, recovered| ck.check_bsp_recovered(recovered))
+        .unwrap_or_else(|(at, v)| panic!("violation at {at}: {v}"));
 }
 
 #[test]

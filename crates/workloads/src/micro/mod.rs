@@ -100,7 +100,7 @@ pub fn all(params: &MicroParams) -> Vec<Workload> {
 mod tests {
     use super::*;
     use pbm_sim::System;
-    use pbm_types::{BarrierKind, Cycle, SystemConfig};
+    use pbm_types::{BarrierKind, SystemConfig};
 
     fn run_checked(wl: &Workload) -> pbm_types::SimStats {
         let mut cfg = SystemConfig::small_test();
@@ -112,15 +112,11 @@ mod tests {
         sys.enable_checking();
         wl.apply_preloads(&mut sys);
         let stats = sys.run();
-        // Every micro-benchmark run must be BEP-consistent at arbitrary
-        // crash points.
+        // Every micro-benchmark run must be BEP-consistent at every crash
+        // state.
         let ck = sys.checker().expect("checking enabled");
-        let horizon = stats.cycles + 20_000;
-        for k in 0..20 {
-            let snap = sys.persistent_snapshot_at(Cycle::new(horizon * k / 19));
-            ck.check_bep(&snap)
-                .unwrap_or_else(|v| panic!("{}: violation: {v}", wl.name));
-        }
+        sys.crash_sweep(|_, snap| ck.check_bep(snap))
+            .unwrap_or_else(|(at, v)| panic!("{}: violation at {at}: {v}", wl.name));
         stats
     }
 

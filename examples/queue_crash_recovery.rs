@@ -1,11 +1,12 @@
 //! Figure 10 end-to-end: persistent queue inserts with crash injection.
 //!
-//! Replays the paper's queue-insert recipe, then "crashes" the machine at
-//! every few hundred cycles of the run and checks the recovery invariant
-//! the barrier placement is supposed to buy: *if the head pointer points
-//! past an entry, that entry's payload is fully durable.* A crash between
-//! epoch A (entry copy) and epoch B (head bump) simply ignores the
-//! half-inserted entry.
+//! Replays the paper's queue-insert recipe, then "crashes" the machine in
+//! every distinct durable state the run passed through
+//! (`System::crash_sweep`) and checks the recovery invariant the barrier
+//! placement is supposed to buy: *if the head pointer points past an
+//! entry, that entry's payload is fully durable.* A crash between epoch A
+//! (entry copy) and epoch B (head bump) simply ignores the half-inserted
+//! entry.
 //!
 //! Run: `cargo run -p pbm --example queue_crash_recovery`
 
@@ -47,39 +48,34 @@ fn main() -> Result<(), ConfigError> {
         inserts, stats.cycles, stats.epochs_persisted
     );
 
-    // Crash everywhere and recover.
-    let horizon = stats.cycles + 30_000;
-    let mut checked = 0u64;
+    // Crash in every distinct durable state and recover.
     let mut ignored_partial = 0u64;
-    for at in (0..horizon).step_by(250) {
-        let snap = sys.persistent_snapshot_at(Cycle::new(at));
-        // Recovery: read the durable head pointer.
-        let head = snap
-            .line(head_ptr().line())
-            .map(|tok| System::token_value(tok) as u64)
-            .unwrap_or(0);
-        // Invariant: every entry below head is fully durable with the
-        // value written for it.
-        for i in 0..head {
-            for l in 0..(ENTRY_BYTES / 64) {
-                let line = slot(i).offset(l * 64).line();
-                let tok = snap.line(line).unwrap_or_else(|| {
-                    panic!("crash@{at}: head={head} but entry {i} line {l} not durable")
-                });
-                assert_eq!(
-                    System::token_value(tok) as u64,
-                    100 + i,
-                    "crash@{at}: entry {i} holds a foreign value"
-                );
+    let checked = sys
+        .crash_sweep(|_, snap| {
+            // Recovery: read the durable head pointer.
+            let head = snap
+                .line(head_ptr().line())
+                .map(|tok| System::token_value(tok) as u64)
+                .unwrap_or(0);
+            // Invariant: every entry below head is fully durable with the
+            // value written for it.
+            for i in 0..head {
+                for l in 0..(ENTRY_BYTES / 64) {
+                    let value = snap.line(slot(i).offset(l * 64).line());
+                    if value.map(|tok| System::token_value(tok) as u64) != Some(100 + i) {
+                        return Err(format!("head={head} but entry {i} line {l} is {value:?}"));
+                    }
+                }
             }
-        }
-        // Count crashes that caught a half-inserted entry (data durable
-        // beyond head) — legal, and exactly what recovery ignores.
-        if snap.line(slot(head).line()).is_some() && head < inserts {
-            ignored_partial += 1;
-        }
-        checked += 1;
-    }
+            // Count crashes that caught a half-inserted entry (data
+            // durable beyond head) — legal, and exactly what recovery
+            // ignores.
+            if snap.line(slot(head).line()).is_some() && head < inserts {
+                ignored_partial += 1;
+            }
+            Ok(())
+        })
+        .unwrap_or_else(|(at, e)| panic!("crash@{at}: {e}"));
     println!("checked {checked} crash points: recovery invariant held at every one");
     println!("{ignored_partial} crash points caught a half-inserted entry (safely ignored)");
     Ok(())

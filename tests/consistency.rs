@@ -1,6 +1,6 @@
 //! Crash-consistency integration tests: random multithreaded workloads,
-//! every barrier variant, arbitrary crash points — the persistency model's
-//! guarantees must hold at all of them.
+//! every barrier variant, every crash state (`System::crash_sweep`) — the
+//! persistency model's guarantees must hold at all of them.
 //!
 //! The random-program generator lives in `pbm_workloads::random` and is
 //! shared with the `pbm-check` fuzzing harness, so any program shape that
@@ -9,6 +9,7 @@
 use pbm::prelude::*;
 use pbm_workloads::random::{programs, random_programs, RandomProgramParams};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn small_cfg(barrier: BarrierKind, persistency: PersistencyKind) -> SystemConfig {
     let mut cfg = SystemConfig::small_test();
@@ -21,17 +22,17 @@ fn check_bep_programs(programs: Vec<Program>, barrier: BarrierKind, seed: u64) {
     let cfg = small_cfg(barrier, PersistencyKind::BufferedEpoch);
     let mut sys = System::new(cfg, programs).expect("valid config");
     sys.enable_checking();
-    let stats = sys.run();
+    sys.run();
     let ck = sys.checker().expect("checking enabled");
-    let horizon = stats.cycles + 50_000;
-    for k in 0..40 {
-        let at = Cycle::new(horizon * k / 39);
-        let snap = sys.persistent_snapshot_at(at);
-        ck.check_bep(&snap)
-            .unwrap_or_else(|v| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
-    }
+    sys.crash_sweep(|_, snap| ck.check_bep(snap))
+        .unwrap_or_else(|(at, v)| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
     // The recorded dependence graph must be acyclic (deadlock freedom).
     assert!(ck.hb_graph().is_acyclic(), "{barrier}: cyclic dependences");
+}
+
+/// A snapshot's durable lines, comparable across crash cycles.
+fn durable_lines(snap: &DurableSnapshot) -> BTreeMap<u64, u64> {
+    snap.iter().map(|(line, v)| (line.as_u64(), v)).collect()
 }
 
 fn check_bep_everywhere(seed: u64, barrier: BarrierKind) {
@@ -59,16 +60,10 @@ fn bsp_recovery_is_atomic_for_every_lazy_barrier() {
             let programs = random_programs(seed, cfg.cores, &params);
             let mut sys = System::new(cfg, programs).expect("valid config");
             sys.enable_checking();
-            let stats = sys.run();
+            sys.run();
             let ck = sys.checker().expect("checking enabled");
-            let horizon = stats.cycles + 50_000;
-            for k in 0..40 {
-                let at = Cycle::new(horizon * k / 39);
-                let snap = sys.persistent_snapshot_at(at);
-                let (recovered, _) = snap.recover_with(sys.undo_log());
-                ck.check_bsp_recovered(&recovered)
-                    .unwrap_or_else(|v| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
-            }
+            sys.crash_sweep(|_, recovered| ck.check_bsp_recovered(recovered))
+                .unwrap_or_else(|(at, v)| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
         }
     }
 }
@@ -82,20 +77,23 @@ fn strict_write_through_persists_in_program_order() {
     }
     let mut sys = System::new(cfg, vec![b.build()]).expect("valid config");
     sys.enable_checking();
-    let stats = sys.run();
+    sys.run();
     // At every crash point, the durable lines must be a prefix of program
     // order: if line k is durable, lines 0..k are durable.
-    for at in (0..stats.cycles + 1000).step_by(97) {
-        let snap = sys.persistent_snapshot_at(Cycle::new(at));
+    sys.crash_sweep(|_, snap| {
         let durable: Vec<bool> = (0..20u64)
             .map(|i| snap.line(LineAddr::new(i)).is_some())
             .collect();
         let first_gap = durable.iter().position(|d| !d).unwrap_or(20);
-        assert!(
-            durable[first_gap..].iter().all(|d| !d),
-            "crash@{at}: durable set {durable:?} is not a program-order prefix"
-        );
-    }
+        if durable[first_gap..].iter().all(|d| !d) {
+            Ok(())
+        } else {
+            Err(durable)
+        }
+    })
+    .unwrap_or_else(|(at, durable)| {
+        panic!("crash@{at}: durable set {durable:?} is not a program-order prefix")
+    });
 }
 
 proptest! {
@@ -108,6 +106,59 @@ proptest! {
     ) {
         let (seed, progs) = case;
         check_bep_programs(progs, BarrierKind::LbPp, seed);
+    }
+
+    /// The sweep is exhaustive: under BEP and BSP alike, a crash at any
+    /// cycle leaves the durable (under BSP, recovered) state the sweep
+    /// visited at the greatest point at or before that cycle. This is what
+    /// lets every crash-consistency check skip sampled crash cycles.
+    #[test]
+    fn prop_crash_sweep_is_exhaustive(
+        case in programs(4, RandomProgramParams::mixed(40, 8)),
+        barrier in 0..BarrierKind::LAZY_VARIANTS.len(),
+        bsp in any::<bool>(),
+        crashes in proptest::collection::vec(any::<u64>(), 16..32),
+    ) {
+        let (seed, progs) = case;
+        let barrier = BarrierKind::LAZY_VARIANTS[barrier];
+        let persistency = if bsp {
+            PersistencyKind::BufferedStrictBulk
+        } else {
+            PersistencyKind::BufferedEpoch
+        };
+        let mut cfg = small_cfg(barrier, persistency);
+        cfg.bsp_epoch_size = 7;
+        let mut sys = System::new(cfg, progs).expect("valid config");
+        sys.enable_checking();
+        sys.run();
+        let mut visited = Vec::new();
+        let points = sys
+            .crash_sweep(|at, snap| {
+                visited.push((at, durable_lines(snap)));
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        prop_assert_eq!(points, visited.len());
+        // Crash anywhere from cycle 0 to just past the last point.
+        let end = visited.last().expect("cycle 0 is a point").0.as_u64() + 2;
+        for c in crashes {
+            let at = Cycle::new(c % end);
+            let (point, want) = &visited[visited.partition_point(|(p, _)| *p <= at) - 1];
+            let mut snap = sys.persistent_snapshot_at(at);
+            if bsp {
+                snap = snap.recover_with(sys.undo_log()).0;
+            }
+            prop_assert_eq!(
+                &durable_lines(&snap),
+                want,
+                "{} {:?} seed={}: crash at {} differs from sweep point {}",
+                barrier,
+                persistency,
+                seed,
+                at,
+                point
+            );
+        }
     }
 
     /// Determinism: a workload produces identical statistics on every run.

@@ -62,10 +62,9 @@ fn every_app_proxy_under_bsp() {
     }
 }
 
-/// The Figure 10 recovery property, end to end: at any crash point, every
-/// queue entry below the durable head pointer is fully durable. The durable
-/// state changes only at persist instants, so checking cycle 0, every
-/// persist instant and the cycle before each covers every crash state.
+/// The Figure 10 recovery property, end to end: at every crash state
+/// (`System::crash_sweep`), every queue entry below the durable head
+/// pointer is fully durable.
 #[test]
 fn queue_insert_recovery_invariant() {
     const ENTRY: u64 = 512;
@@ -89,31 +88,24 @@ fn queue_insert_recovery_invariant() {
     sys.preload(head_ptr, 0);
     sys.run();
 
-    let mut points = vec![Cycle::ZERO];
-    for t in sys.persist_times() {
-        points.push(t);
-        points.push(Cycle::new(t.as_u64().saturating_sub(1)));
-    }
-    points.sort_unstable();
-    points.dedup();
     let mut last_head = 0;
-    for at in points {
-        let snap = sys.persistent_snapshot_at(at);
+    sys.crash_sweep(|_, snap| {
         let head = snap
             .line(head_ptr.line())
             .map(|tok| u64::from(System::token_value(tok)))
             .unwrap_or(0);
         for i in 0..head {
             for l in 0..(ENTRY / 64) {
-                let line = slot(i).offset(l * 64).line();
-                let tok = snap.line(line).unwrap_or_else(|| {
-                    panic!("crash@{at}: head={head} but entry {i} line {l} missing")
-                });
-                assert_eq!(u64::from(System::token_value(tok)), 100 + i);
+                let value = snap.line(slot(i).offset(l * 64).line());
+                if value.map(System::token_value) != Some(100 + i as u32) {
+                    return Err(format!("head={head} but entry {i} line {l} is {value:?}"));
+                }
             }
         }
         last_head = head;
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|(at, e)| panic!("crash@{at}: {e}"));
     assert_eq!(last_head, 6, "the sweep ends at the fully inserted queue");
 }
 
@@ -130,13 +122,10 @@ fn lb_is_correct_just_slower() {
     .expect("valid");
     sys.enable_checking();
     wl.apply_preloads(&mut sys);
-    let stats = sys.run();
+    sys.run();
     let ck = sys.checker().expect("checking");
-    for k in 0..25 {
-        let at = Cycle::new((stats.cycles + 20_000) * k / 24);
-        ck.check_bep(&sys.persistent_snapshot_at(at))
-            .unwrap_or_else(|v| panic!("violation at {at}: {v}"));
-    }
+    sys.crash_sweep(|_, snap| ck.check_bep(snap))
+        .unwrap_or_else(|(at, v)| panic!("violation at {at}: {v}"));
 }
 
 #[test]
