@@ -3,7 +3,7 @@
 //! experiments use (full-scale numbers come from `exp <experiment>`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbm_bench::run_one;
+use pbm_bench::{run_cell, ObsOptions};
 use pbm_types::{BarrierKind, PersistencyKind, SystemConfig};
 use pbm_workloads::apps::{self, AppParams};
 use pbm_workloads::micro::{self, MicroParams};
@@ -29,11 +29,10 @@ fn bench_fig11(c: &mut Criterion) {
             let mut cfg = small_cfg();
             cfg.persistency = PersistencyKind::BufferedEpoch;
             cfg.barrier = kind;
-            group.bench_with_input(
-                BenchmarkId::new(wl.name, kind),
-                &(cfg, wl.clone()),
-                |b, (cfg, wl)| b.iter(|| run_one(cfg.clone(), wl)),
-            );
+            let job = (kind.to_string(), wl.name.to_string(), cfg, wl.clone());
+            group.bench_with_input(BenchmarkId::new(wl.name, kind), &job, |b, job| {
+                b.iter(|| run_cell(job.clone(), &ObsOptions::default(), false))
+            });
         }
     }
     group.finish();
@@ -54,11 +53,10 @@ fn bench_fig14(c: &mut Criterion) {
             cfg.persistency = PersistencyKind::BufferedStrictBulk;
             cfg.bsp_epoch_size = 1000;
             cfg.barrier = kind;
-            group.bench_with_input(
-                BenchmarkId::new(name, kind),
-                &(cfg, wl.clone()),
-                |b, (cfg, wl)| b.iter(|| run_one(cfg.clone(), wl)),
-            );
+            let job = (kind.to_string(), name.to_string(), cfg, wl.clone());
+            group.bench_with_input(BenchmarkId::new(name, kind), &job, |b, job| {
+                b.iter(|| run_cell(job.clone(), &ObsOptions::default(), false))
+            });
         }
     }
     group.finish();

@@ -107,9 +107,7 @@ fn main() {
                 let path = dir.join(format!("{}.json", wl.name));
                 let mut text = report.to_json_value(wl.name).to_json();
                 text.push('\n');
-                if let Err(e) = std::fs::write(&path, text) {
-                    die(&format!("cannot write {}: {e}", path.display()));
-                }
+                cli::write_or_die(&path, text);
             }
         }
         errors += report.error_count();

@@ -89,9 +89,7 @@ fn write_artifact(dir: &Path, name: &str, text: &str) -> PathBuf {
         die(&format!("cannot create {}: {e}", dir.display()));
     }
     let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, text) {
-        die(&format!("cannot write {}: {e}", path.display()));
-    }
+    cli::write_or_die(&path, text);
     path
 }
 

@@ -8,7 +8,7 @@
 //! `error: …` and exits with status 2.
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// A command-line mistake, printed as `error: <message>`.
@@ -35,6 +35,13 @@ pub fn or_exit<T>(result: Result<T, CliError>) -> T {
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// Writes `contents` to `path`, or dies with `cannot write <path>: …`.
+pub fn write_or_die(path: &Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        die(&format!("cannot write {}: {e}", path.display()));
+    }
 }
 
 /// The flags one command was given, checked against the flags it takes.

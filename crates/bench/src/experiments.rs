@@ -6,19 +6,21 @@
 //! [`Experiment::run`] crosses workloads and axis into a workload-major
 //! grid (every rung for the first workload, then the next), runs it on a
 //! [`Runner`], and renders the results, in grid order, into a writer.
+//! Under `--prof-out=DIR` it then writes `DIR/BENCH_prof.json` and appends
+//! the persist-latency attribution table (see [`crate::profiling`]).
 //!
 //! `--quick` shrinks every experiment the same way: an 8-core, 8-bank
 //! platform on a 2-row mesh, 8 worker threads, and the entry's own
 //! smaller op count.
 
-use crate::cli::{die, CliError, Flags};
+use crate::cli::{write_or_die, CliError, Flags};
 use crate::obs::ObsOptions;
-use crate::profiling::{fig11_base, fig11_params};
+use crate::profiling::{self, fig11_base, fig11_params};
 use crate::runner::{default_jobs, DEFAULT_RUNNER_JSON};
 use crate::{amean, gmean, system_header, Job, RunResult, Runner};
 use pbm_obs::json::JsonValue::{self, Num, Str};
 use pbm_types::SystemConfig;
-use pbm_types::{BarrierKind, Cycle, FlushMode, Histogram, PersistencyKind, SimStats};
+use pbm_types::{BarrierKind, FlushMode, Histogram, PersistencyKind, SimStats};
 use pbm_workloads::apps::{self, AppParams, AppProfile};
 use pbm_workloads::micro::{self, MicroParams};
 use pbm_workloads::Workload;
@@ -41,12 +43,13 @@ pub(crate) fn quick_system(cfg: &mut SystemConfig) {
 }
 
 /// The flags every experiment takes.
-const RUN_FLAGS: [&str; 7] = [
+const RUN_FLAGS: [&str; 8] = [
     "--quick",
     "--jobs=",
     "--trace-out=",
     "--metrics-csv=",
     "--metrics-interval=",
+    "--prof-out=",
     "--runner-json=",
     "--no-runner-json",
 ];
@@ -58,7 +61,7 @@ pub struct Options {
     pub(crate) quick: bool,
     /// `--jobs=N`: worker threads.
     jobs: usize,
-    /// Per-cell trace and metrics artifacts.
+    /// Per-cell trace, metrics and profile artifacts.
     obs: ObsOptions,
     /// Where to record the wall-clock (`None` under `--no-runner-json`).
     runner_json: Option<PathBuf>,
@@ -223,23 +226,23 @@ impl Experiment {
     }
 
     /// Runs the grid and writes the system header and the rendered
-    /// results to `out`; records the wall-clock if `opts` asks for it.
+    /// results to `out`, then, under `--prof-out`, the attribution table;
+    /// records the wall-clock if `opts` asks for it.
     pub fn run(&self, opts: &Options, out: &mut dyn Write) -> io::Result<()> {
         let base = self.base(opts.quick);
         writeln!(out, "{}", system_header(&base))?;
-        let grid = self.grid(opts);
-        let runner = Runner::new(self.name, opts.jobs, opts.obs.clone())
+        let mut runner = Runner::new(self.name, opts.jobs, opts.obs.clone())
             .recording(opts.runner_json.clone(), opts.quick);
+        if matches!(self.reduce, Reduce::Profile) {
+            runner = runner.sampled();
+        }
+        let results = runner.run(self.grid(opts));
         match &self.reduce {
-            Reduce::Table(table) => {
-                let results = runner.run(grid);
-                table.render(&results, (self.axis)().len(), out)?;
-            }
-            Reduce::Profile => {
-                let interval = Cycle::new(opts.obs.metrics_interval);
-                let results = runner.run_sampled(grid, interval);
-                profile(opts, &base, &results, out)?;
-            }
+            Reduce::Table(table) => table.render(&results, (self.axis)().len(), out)?,
+            Reduce::Profile => profile(opts, &base, &results, out)?,
+        }
+        if let Some(dir) = &opts.obs.prof_out {
+            profiling::write_profiles(dir, self.name, &results, opts.quick, out)?;
         }
         runner.finish();
         Ok(())
@@ -718,9 +721,7 @@ fn profile(
     if let Some(path) = &opts.json {
         let mut text = profile_json(opts, base, results).to_json();
         text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            die(&format!("cannot write {}: {e}", path.display()));
-        }
+        write_or_die(path, text);
         eprintln!(
             "# profile_bsp: {} configs -> {}",
             results.len(),

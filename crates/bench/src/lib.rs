@@ -4,6 +4,8 @@
 //! Every figure and ablation is one entry of the [`experiments`] table,
 //! run by the `exp` binary (`exp fig11 --quick`); see EXPERIMENTS.md at
 //! the repository root for the paper-vs-measured record they produce.
+//! Every grid cell is simulated once, by [`run_cell`], whatever
+//! artifacts (trace, metrics CSV, persist-latency profile) it is asked for.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -14,10 +16,9 @@ pub mod obs;
 pub mod profiling;
 pub mod runner;
 
-pub use obs::{capture_artifacts, run_one_instrumented, ObsOptions};
-pub use runner::{default_jobs, Runner};
+pub use obs::ObsOptions;
+pub use runner::{default_jobs, run_cell, Runner};
 
-use pbm_sim::System;
 use pbm_types::{MetricSample, SimStats, SystemConfig};
 use pbm_workloads::Workload;
 use std::time::Duration;
@@ -31,23 +32,13 @@ pub struct RunResult {
     pub config: String,
     /// The run's statistics.
     pub stats: SimStats,
-    /// Sampled metrics series ([`Runner::run_sampled`] only; empty
-    /// otherwise).
+    /// Sampled metrics series (empty unless the sampler was on).
     pub samples: Vec<MetricSample>,
-    /// Wall-clock of this cell's simulation on its worker thread.
+    /// Wall-clock of this cell on its worker thread: simulation plus
+    /// artifact export.
     pub wall: Duration,
-}
-
-/// Runs one workload under one configuration.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the simulation wedges (both
-/// indicate bugs, not workload conditions).
-pub fn run_one(cfg: SystemConfig, wl: &Workload) -> SimStats {
-    let mut sys = System::new(cfg, wl.programs.clone()).expect("valid config");
-    wl.apply_preloads(&mut sys);
-    sys.run()
+    /// The cell's persist-latency summary (under `--prof-out` only).
+    pub prof: Option<profiling::CellProfile>,
 }
 
 /// One grid cell: `(config label, workload label, config, workload)`.

@@ -1,11 +1,9 @@
 //! Observability plumbing for the experiments: the `--trace-out=` /
-//! `--metrics-csv=` options, instrumented runs, and artifact export.
+//! `--metrics-csv=` / `--prof-out=` options and per-cell artifact export.
 
 use crate::cli::{die, CliError, Flags};
 use pbm_obs::{chrome, metrics_csv};
-use pbm_sim::System;
-use pbm_types::{Cycle, MetricSample, SimStats, SystemConfig, TraceEvent};
-use pbm_workloads::Workload;
+use pbm_types::{MetricSample, TraceEvent};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -16,19 +14,25 @@ pub const DEFAULT_METRICS_INTERVAL: u64 = 5_000;
 
 /// Observability knobs shared by every experiment.
 ///
-/// * `--trace-out=<path>` — write a Chrome trace-event JSON (open in
-///   Perfetto / `chrome://tracing`) for one representative cell.
-/// * `--metrics-csv=<path>` — write the periodic metrics time-series.
+/// * `--trace-out=<path>` — write each cell's Chrome trace-event JSON
+///   (open in Perfetto / `chrome://tracing`).
+/// * `--metrics-csv=<path>` — write each cell's periodic metrics
+///   time-series.
 /// * `--metrics-interval=<cycles>` — sampling cadence (default
 ///   [`DEFAULT_METRICS_INTERVAL`]).
+/// * `--prof-out=<dir>` — attribute each cell's persist latency with
+///   `pbm-prof`: a flame graph and a report per cell, and the grid's
+///   `BENCH_prof.json` (see [`crate::profiling`]).
 #[derive(Debug, Clone)]
 pub struct ObsOptions {
     /// Destination for the Chrome trace-event JSON, if requested.
     pub trace_out: Option<PathBuf>,
     /// Destination for the metrics CSV, if requested.
     pub metrics_csv: Option<PathBuf>,
-    /// Sampling cadence in cycles (used only when `metrics_csv` is set).
+    /// Sampling cadence in cycles (used only when the sampler is on).
     pub metrics_interval: u64,
+    /// Directory for the persist-latency profiles, if requested.
+    pub prof_out: Option<PathBuf>,
 }
 
 impl Default for ObsOptions {
@@ -38,6 +42,7 @@ impl Default for ObsOptions {
             trace_out: None,
             metrics_csv: None,
             metrics_interval: DEFAULT_METRICS_INTERVAL,
+            prof_out: None,
         }
     }
 }
@@ -51,22 +56,23 @@ impl ObsOptions {
             metrics_interval: flags
                 .positive("--metrics-interval=", "cycle count")?
                 .unwrap_or(DEFAULT_METRICS_INTERVAL),
+            prof_out: flags.path("--prof-out=")?,
         })
     }
 
-    /// True if any artifact was requested.
-    pub fn is_active(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_csv.is_some()
+    /// True if cells must be traced: for a trace or for a profile.
+    pub fn traces(&self) -> bool {
+        self.trace_out.is_some() || self.prof_out.is_some()
     }
 
-    /// A copy whose output paths carry `-<label>` before the extension, so
-    /// multi-config binaries can emit one artifact set per configuration.
+    /// A copy whose trace and CSV paths carry `-<label>` before the
+    /// extension, so every grid cell gets its own artifact set.
     pub fn for_label(&self, label: &str) -> Self {
         let slug = slug(label);
         ObsOptions {
             trace_out: self.trace_out.as_deref().map(|p| suffixed(p, &slug)),
             metrics_csv: self.metrics_csv.as_deref().map(|p| suffixed(p, &slug)),
-            metrics_interval: self.metrics_interval,
+            ..self.clone()
         }
     }
 }
@@ -90,43 +96,21 @@ fn suffixed(path: &Path, slug: &str) -> PathBuf {
     path.with_file_name(format!("{stem}-{slug}.{ext}"))
 }
 
-/// Runs one workload with the requested instrumentation attached,
-/// returning the statistics plus everything the observer collected.
-pub fn run_one_instrumented(
-    cfg: SystemConfig,
-    wl: &Workload,
-    tracing: bool,
-    metrics_interval: Option<Cycle>,
-) -> (SimStats, Vec<TraceEvent>, Vec<MetricSample>) {
-    let mut sys = System::new(cfg, wl.programs.clone()).expect("valid config");
-    wl.apply_preloads(&mut sys);
-    if tracing {
-        sys.enable_tracing();
-    }
-    if let Some(interval) = metrics_interval {
-        sys.enable_metrics(interval);
-    }
-    let stats = sys.run();
-    let events = sys.take_trace_events();
-    let samples = sys.take_metric_samples();
-    (stats, events, samples)
-}
-
-/// Runs `(cfg, wl)` once with the instrumentation `opts` request and
-/// writes the artifacts. No-op (and no extra run) when `opts` is inactive.
-/// Exits the process with a diagnostic if an artifact cannot be written.
-pub fn capture_artifacts(opts: &ObsOptions, cfg: SystemConfig, wl: &Workload, label: &str) {
-    if !opts.is_active() {
-        return;
-    }
-    let interval = opts
-        .metrics_csv
-        .as_ref()
-        .map(|_| Cycle::new(opts.metrics_interval));
-    let (_, events, samples) = run_one_instrumented(cfg, wl, opts.trace_out.is_some(), interval);
-    if let Some(path) = &opts.trace_out {
+/// Writes one traced or sampled cell's Chrome trace and metrics CSV, each
+/// where its flag asks (suffixed with the cell's label). Exits the process
+/// with a diagnostic if an artifact cannot be written.
+pub(crate) fn write_artifacts(
+    opts: &ObsOptions,
+    config: &str,
+    workload: &str,
+    events: &[TraceEvent],
+    samples: &[MetricSample],
+) {
+    let cell = opts.for_label(&format!("{config}-{workload}"));
+    let label = format!("{workload}/{config}");
+    if let Some(path) = &cell.trace_out {
         let written = File::create(path)
-            .and_then(|file| chrome::write_chrome_trace(BufWriter::new(file), &events, &samples));
+            .and_then(|file| chrome::write_chrome_trace(BufWriter::new(file), events, samples));
         if let Err(e) = written {
             die(&format!("cannot write trace JSON {}: {e}", path.display()));
         }
@@ -136,8 +120,8 @@ pub fn capture_artifacts(opts: &ObsOptions, cfg: SystemConfig, wl: &Workload, la
             path.display()
         );
     }
-    if let Some(path) = &opts.metrics_csv {
-        if let Err(e) = std::fs::write(path, metrics_csv(&samples)) {
+    if let Some(path) = &cell.metrics_csv {
+        if let Err(e) = std::fs::write(path, metrics_csv(samples)) {
             die(&format!("cannot write metrics CSV {}: {e}", path.display()));
         }
         eprintln!(
@@ -158,6 +142,7 @@ mod tests {
             trace_out: Some(PathBuf::from("/tmp/trace.json")),
             metrics_csv: Some(PathBuf::from("/tmp/metrics.csv")),
             metrics_interval: 100,
+            prof_out: None,
         };
         let per = opts.for_label("LB++10K");
         assert_eq!(
@@ -172,6 +157,8 @@ mod tests {
 
     #[test]
     fn inactive_by_default() {
-        assert!(!ObsOptions::default().is_active());
+        let opts = ObsOptions::default();
+        assert!(!opts.traces());
+        assert!(opts.metrics_csv.is_none());
     }
 }

@@ -7,16 +7,21 @@
 //! any `--jobs=N`. Flags every experiment takes:
 //!
 //! * `--jobs=N` — worker threads (default: available parallelism).
-//! * `--trace-out=` / `--metrics-csv=` / `--metrics-interval=` — per-cell
-//!   observability artifacts (see [`crate::obs::ObsOptions`]); each cell's
-//!   outputs go to a distinct `-<config>-<workload>`-suffixed path so
-//!   concurrent cells never interleave into one file.
+//! * `--trace-out=` / `--metrics-csv=` / `--metrics-interval=` /
+//!   `--prof-out=` — per-cell observability artifacts (see
+//!   [`crate::obs::ObsOptions`]); each cell's outputs go to a distinct
+//!   `-<config>-<workload>`-suffixed path so concurrent cells never
+//!   interleave into one file.
 //! * `--runner-json=<path>` / `--no-runner-json` — where (whether) to
 //!   record wall-clock in `BENCH_runner.json` (see [`Runner::finish`]).
+//!
+//! Every cell, whatever the flags, is simulated exactly once, by
+//! [`run_cell`].
 
 use crate::obs::{self, ObsOptions};
-use crate::{run_one, Job, RunResult};
+use crate::{cli, profiling, Job, RunResult};
 use pbm_obs::json::{self, JsonValue};
+use pbm_sim::System;
 use pbm_types::Cycle;
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -46,6 +51,7 @@ pub struct Runner {
     binary: String,
     jobs: usize,
     obs: ObsOptions,
+    sample: bool,
     report: Option<PathBuf>,
     quick: bool,
     started: Instant,
@@ -61,6 +67,7 @@ impl Runner {
             binary: binary.to_string(),
             jobs,
             obs,
+            sample: false,
             report: None,
             quick: false,
             started: Instant::now(),
@@ -76,43 +83,24 @@ impl Runner {
         self
     }
 
+    /// Attaches the metrics sampler to every cell, with or without
+    /// `--metrics-csv`, so each result carries its sampled time series
+    /// (`exp profile_bsp` sketches saturation from it).
+    pub fn sampled(mut self) -> Self {
+        self.sample = true;
+        self
+    }
+
     /// Runs the cell grid on the worker pool; results in grid order.
     pub fn run(&self, cells: Vec<Job>) -> Vec<RunResult> {
-        self.run_cells(cells, None)
-    }
-
-    /// Like [`Runner::run`], but with the metrics sampler attached at
-    /// `interval`, so each result carries its sampled time series (used by
-    /// `exp profile_bsp` for saturation sketches).
-    pub fn run_sampled(&self, cells: Vec<Job>, interval: Cycle) -> Vec<RunResult> {
-        self.run_cells(cells, Some(interval))
-    }
-
-    fn run_cells(&self, cells: Vec<Job>, sample: Option<Cycle>) -> Vec<RunResult> {
+        if let Some(dir) = &self.obs.prof_out {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                cli::die(&format!("cannot write {}: {e}", dir.display()));
+            }
+        }
         self.cells.set(self.cells.get() + cells.len());
-        let obs = &self.obs;
-        pbm_check::parallel_map(self.jobs, cells, |(config, workload, cfg, wl)| {
-            let t0 = Instant::now();
-            let (stats, samples) = match sample {
-                Some(interval) => {
-                    let (stats, _, samples) =
-                        obs::run_one_instrumented(cfg.clone(), &wl, false, Some(interval));
-                    (stats, samples)
-                }
-                None => (run_one(cfg.clone(), &wl), Vec::new()),
-            };
-            if obs.is_active() {
-                let cell_obs = obs.for_label(&format!("{config}-{workload}"));
-                obs::capture_artifacts(&cell_obs, cfg, &wl, &format!("{workload}/{config}"));
-            }
-            RunResult {
-                workload,
-                config,
-                stats,
-                samples,
-                wall: t0.elapsed(),
-            }
-        })
+        let (obs, sample) = (&self.obs, self.sample);
+        pbm_check::parallel_map(self.jobs, cells, |job| run_cell(job, obs, sample))
     }
 
     /// Records the run's total wall-clock in `BENCH_runner.json`, under the
@@ -156,15 +144,51 @@ impl Runner {
         ]);
         let mut text = doc.to_json();
         text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            crate::cli::die(&format!("cannot write {}: {e}", path.display()));
-        }
+        cli::write_or_die(path, text);
         eprintln!(
             "# runner: {} cells in {wall_ms} ms with {} jobs -> {}",
             self.cells.get(),
             self.jobs,
             path.display()
         );
+    }
+}
+
+/// Builds and runs one grid cell's `System` — the only place a cell is
+/// simulated. Tracing is on if `obs` asks for a trace or a profile, the
+/// sampler if it asks for a metrics CSV or `sample` is set. On the worker,
+/// the cell's trace, CSV and profile are written and its events dropped,
+/// so peak memory holds one trace per worker.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or the simulation wedges (both
+/// indicate bugs, not workload conditions).
+pub fn run_cell((config, workload, cfg, wl): Job, obs: &ObsOptions, sample: bool) -> RunResult {
+    let t0 = Instant::now();
+    let mut sys = System::new(cfg, wl.programs.clone()).expect("valid config");
+    wl.apply_preloads(&mut sys);
+    if obs.traces() {
+        sys.enable_tracing();
+    }
+    if sample || obs.metrics_csv.is_some() {
+        sys.enable_metrics(Cycle::new(obs.metrics_interval));
+    }
+    let stats = sys.run();
+    let events = sys.take_trace_events();
+    let samples = sys.take_metric_samples();
+    obs::write_artifacts(obs, &config, &workload, &events, &samples);
+    let prof = obs
+        .prof_out
+        .as_deref()
+        .map(|dir| profiling::profile_cell(dir, &config, &workload, &events));
+    RunResult {
+        workload,
+        config,
+        stats,
+        samples,
+        wall: t0.elapsed(),
+        prof,
     }
 }
 
@@ -224,8 +248,11 @@ mod tests {
 
     #[test]
     fn sampled_runs_carry_the_series() {
-        let runner = Runner::new("test", 2, ObsOptions::default());
-        let results = runner.run_sampled(tiny_grid(2), Cycle::new(10));
+        let obs = ObsOptions {
+            metrics_interval: 10,
+            ..ObsOptions::default()
+        };
+        let results = Runner::new("test", 2, obs).sampled().run(tiny_grid(2));
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(!r.samples.is_empty(), "sampler attached");

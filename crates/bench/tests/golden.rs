@@ -2,9 +2,12 @@
 //! `--quick --jobs=1` into a string and must equal
 //! `tests/golden/<name>-quick.txt`. `profile_bsp`'s per-cell host
 //! wall-clock (`wall=…`) is the one nondeterministic field; it is masked
-//! as `wall=_` on both sides.
+//! as `wall=_` on both sides. The fig11 grid's persist-latency attribution
+//! (`BENCH_prof.json`) is pinned the same way, against
+//! `results/baselines/`.
 
 use pbm_bench::experiments::{self, EXPERIMENTS};
+use pbm_obs::json::{self, JsonValue};
 
 fn mask_wall(text: &str) -> String {
     let words = text.split(' ');
@@ -32,5 +35,58 @@ fn every_experiment_matches_its_quick_golden() {
             "{} drifted from {path}",
             exp.name
         );
+    }
+}
+
+/// `exp fig11 --quick --prof-out=DIR` writes `DIR/BENCH_prof.json` equal,
+/// byte for byte, to `results/baselines/BENCH_prof.json`: the simulated
+/// persist-latency attribution of every fig11 cell is pinned. To refresh
+/// the baseline after a deliberate model change, run
+/// `exp fig11 --quick --prof-out=D` and copy `D/BENCH_prof.json` there.
+#[test]
+fn bench_prof_matches_the_committed_baseline() {
+    let dir = std::env::temp_dir().join(format!("pbm-golden-prof-{}", std::process::id()));
+    let args = [
+        "fig11".to_string(),
+        "--quick".into(),
+        "--jobs=2".into(),
+        "--no-runner-json".into(),
+        format!("--prof-out={}", dir.display()),
+    ];
+    let (exp, opts) = experiments::parse(&args).expect("valid command line");
+    exp.run(&opts, &mut std::io::sink()).expect("render");
+    let got = std::fs::read_to_string(dir.join("BENCH_prof.json")).expect("BENCH_prof.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baselines/BENCH_prof.json"
+    );
+    let want = std::fs::read_to_string(path).expect("baseline");
+    let _ = std::fs::remove_dir_all(&dir);
+    if got == want {
+        return;
+    }
+    let cells = |text: &str| {
+        let doc = json::parse(text).expect("valid JSON");
+        doc.get("cells")
+            .and_then(JsonValue::as_array)
+            .map(<[_]>::to_vec)
+            .unwrap_or_default()
+    };
+    let (got_cells, want_cells) = (cells(&got), cells(&want));
+    let differs = got_cells.iter().zip(&want_cells).find(|(g, w)| g != w);
+    match differs {
+        Some((cell, _)) => {
+            let label = |k| cell.get(k).and_then(JsonValue::as_str).unwrap_or("?");
+            panic!(
+                "BENCH_prof.json drifted from {path}: first differing cell is ({}, {})",
+                label("config"),
+                label("workload")
+            );
+        }
+        None => panic!(
+            "BENCH_prof.json drifted from {path}: {} cells against {} (or the header differs)",
+            got_cells.len(),
+            want_cells.len()
+        ),
     }
 }

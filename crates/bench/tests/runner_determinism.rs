@@ -57,6 +57,7 @@ fn obs_into(dir: &Path) -> ObsOptions {
         trace_out: Some(dir.join("trace.json")),
         metrics_csv: Some(dir.join("metrics.csv")),
         metrics_interval: 1000,
+        prof_out: None,
     }
 }
 

@@ -68,11 +68,6 @@ impl CacheArray {
         self.assoc
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// True if the line is resident.
     pub fn contains(&self, line: LineAddr) -> bool {
         self.peek(line).is_some()

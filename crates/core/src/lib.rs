@@ -49,7 +49,6 @@ mod epoch;
 mod hb;
 mod idt;
 mod persistency;
-mod protocol;
 pub mod recovery;
 
 pub use arbiter::{ArbiterAction, EpochArbiter, FlushPhase};
@@ -59,4 +58,3 @@ pub use epoch::EpochLedger;
 pub use hb::HbGraph;
 pub use idt::{IdtOverflow, IdtRegisters};
 pub use persistency::BarrierSemantics;
-pub use protocol::FlushMessage;

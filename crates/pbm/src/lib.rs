@@ -21,7 +21,7 @@
 //! | [`sim`] | the deterministic multicore timing simulator |
 //! | [`workloads`] | Table 2 micro-benchmarks + nine BSP application proxies |
 //! | [`analyze`] | static persist-order analyzer: epoch partitioning, happens-before linting |
-//! | [`prof`] | offline causal critical-path profiler, flame-graph export, perf-regression diffing |
+//! | [`prof`] | offline causal critical-path profiler, flame-graph export |
 //!
 //! # Quickstart
 //!

@@ -29,11 +29,8 @@
 //!   latency distribution, and the top-K slowest barriers with their
 //!   critical-path witnesses;
 //! * [`report::cell_json`] / [`report::bench_doc`] — the `pbm-bench-prof/v1`
-//!   summary (`BENCH_prof.json`) the `prof` binary emits per fig11 grid
-//!   cell, integer-only and byte-deterministic;
-//! * [`regress`] — diffs `BENCH_prof.json` / `BENCH_runner.json` documents
-//!   against committed baselines with per-metric tolerances (the CI
-//!   perf-regression gate).
+//!   summary (`BENCH_prof.json`) that `exp <experiment> --prof-out=DIR`
+//!   writes, one entry per grid cell, integer-only and byte-deterministic.
 //!
 //! Everything is deterministic: all arithmetic is integral, all iteration
 //! orders are sorted, and no wall-clock value is ever consulted.
@@ -42,7 +39,6 @@
 
 mod attr;
 pub mod flame;
-pub mod regress;
 pub mod report;
 
 pub use attr::{analyze, Attribution, BarrierProfile, Component, Profile};

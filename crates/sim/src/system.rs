@@ -209,12 +209,6 @@ impl System {
         self.checker = Some(ConsistencyChecker::new());
     }
 
-    /// Replaces the observer wholesale (custom sink / sampler setups).
-    /// Call before [`System::run`].
-    pub fn set_observer(&mut self, obs: Observer) {
-        self.obs = obs;
-    }
-
     /// Enables cycle-stamped event tracing into an in-memory buffer,
     /// preserving any sampler already attached. Retrieve the events after
     /// the run with [`System::take_trace_events`].
@@ -589,11 +583,6 @@ impl System {
     /// enabled).
     pub fn checker(&self) -> Option<&ConsistencyChecker> {
         self.checker.as_ref()
-    }
-
-    /// Per-core retirement times of the last run (None = never finished).
-    pub fn finish_times(&self) -> Vec<Option<Cycle>> {
-        self.cores.iter().map(|c| c.finish).collect()
     }
 
     /// NoC head-flit queueing per virtual network (congestion diagnostic).
