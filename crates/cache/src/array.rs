@@ -211,29 +211,6 @@ impl CacheArray {
         self.index.len(tag)
     }
 
-    /// Retags every resident line of `from` to `to` (epoch splitting,
-    /// §3.3). Returns how many lines were retagged.
-    pub fn retag_epoch(&mut self, from: EpochTag, to: EpochTag) -> usize {
-        let lines = self.index.lines(from);
-        for &line in &lines {
-            let set = self.set_index(line);
-            if let Some(l) = self.sets[set].peek_mut(line) {
-                debug_assert_eq!(l.tag, Some(from));
-                l.tag = Some(to);
-            }
-        }
-        self.index.retag(from, to)
-    }
-
-    /// All dirty resident lines, in deterministic (set, recency) order —
-    /// used for end-of-run drains.
-    pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().filter(|l| l.is_dirty()).map(|l| l.addr))
-            .collect()
-    }
-
     /// Total resident lines.
     pub fn len(&self) -> usize {
         self.sets.iter().map(CacheSet::len).sum()
@@ -242,11 +219,6 @@ impl CacheArray {
     /// True if nothing is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Epochs with at least one resident line.
-    pub fn resident_epochs(&self) -> Vec<EpochTag> {
-        self.index.epochs().collect()
     }
 }
 
@@ -361,30 +333,6 @@ mod tests {
         assert_eq!(removed.value, 7);
         assert!(a.lines_of_epoch(tag(1, 1)).is_empty());
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn retag_epoch_rewrites_tags() {
-        let mut a = tiny();
-        a.install(CacheLine::dirty(LineAddr::new(0), 1, Some(tag(0, 5))));
-        a.install(CacheLine::dirty(LineAddr::new(1), 2, Some(tag(0, 5))));
-        assert_eq!(a.retag_epoch(tag(0, 5), tag(0, 6)), 2);
-        assert_eq!(a.peek(LineAddr::new(0)).unwrap().tag, Some(tag(0, 6)));
-        assert_eq!(a.epoch_len(tag(0, 6)), 2);
-        assert_eq!(a.epoch_len(tag(0, 5)), 0);
-    }
-
-    #[test]
-    fn dirty_lines_enumerates_all_dirty() {
-        let mut a = tiny();
-        a.install(CacheLine::dirty(LineAddr::new(0), 1, None));
-        a.install(CacheLine::clean(LineAddr::new(1), 2));
-        a.install(CacheLine::dirty(LineAddr::new(3), 3, Some(tag(0, 0))));
-        let mut dirty = a.dirty_lines();
-        dirty.sort();
-        assert_eq!(dirty, vec![LineAddr::new(0), LineAddr::new(3)]);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.resident_epochs(), vec![tag(0, 0)]);
     }
 
     #[test]

@@ -6,8 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 /// Tracks, per epoch, exactly which resident lines it dirtied.
 ///
 /// The paper's flush engine keeps a per-epoch bitmap over cache sets
-/// (modelled in [`EpochBitmap`](crate::EpochBitmap)) and scans the marked
-/// sets when flushing. The simulator uses this exact index for the actual
+/// (1 bit per 64 sets, §4.3) and scans the marked sets when flushing. The simulator uses this exact index for the actual
 /// line enumeration — same answer as the hardware's scan, without the
 /// simulation cost of walking sets. Lines are kept sorted so flush order is
 /// deterministic.
@@ -65,30 +64,6 @@ impl EpochIndex {
     pub fn is_empty(&self, tag: EpochTag) -> bool {
         self.len(tag) == 0
     }
-
-    /// Drops all bookkeeping for `tag` (epoch fully persisted).
-    pub fn clear_epoch(&mut self, tag: EpochTag) {
-        self.by_epoch.remove(&tag);
-    }
-
-    /// Moves every line of `from` to `to` — used by deadlock-avoidance
-    /// epoch splitting, where the completed prefix keeps the old id and the
-    /// remainder is retagged (§3.3). Returns how many lines moved.
-    pub fn retag(&mut self, from: EpochTag, to: EpochTag) -> usize {
-        match self.by_epoch.remove(&from) {
-            None => 0,
-            Some(lines) => {
-                let n = lines.len();
-                self.by_epoch.entry(to).or_default().extend(lines);
-                n
-            }
-        }
-    }
-
-    /// All epochs with at least one resident line.
-    pub fn epochs(&self) -> impl Iterator<Item = EpochTag> + '_ {
-        self.by_epoch.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -124,27 +99,6 @@ mod tests {
         ix.add(tag(0, 0), LineAddr::new(5));
         ix.add(tag(0, 0), LineAddr::new(5));
         assert_eq!(ix.len(tag(0, 0)), 1);
-    }
-
-    #[test]
-    fn clear_epoch() {
-        let mut ix = EpochIndex::new();
-        ix.add(tag(2, 7), LineAddr::new(1));
-        ix.clear_epoch(tag(2, 7));
-        assert!(ix.is_empty(tag(2, 7)));
-        assert_eq!(ix.epochs().count(), 0);
-    }
-
-    #[test]
-    fn retag_moves_all_lines() {
-        let mut ix = EpochIndex::new();
-        ix.add(tag(0, 5), LineAddr::new(1));
-        ix.add(tag(0, 5), LineAddr::new(2));
-        ix.add(tag(0, 6), LineAddr::new(3));
-        assert_eq!(ix.retag(tag(0, 5), tag(0, 6)), 2);
-        assert!(ix.is_empty(tag(0, 5)));
-        assert_eq!(ix.len(tag(0, 6)), 3);
-        assert_eq!(ix.retag(tag(0, 5), tag(0, 6)), 0, "empty source is a no-op");
     }
 
     #[test]

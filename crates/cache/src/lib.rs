@@ -3,9 +3,9 @@
 //! Implements the hardware extensions of §4.3 of the paper as plain,
 //! timing-free data structures: set-associative arrays whose dirty lines
 //! carry an `EpochID + CoreID` tag ([`pbm_types::EpochTag`]), an
-//! epoch-aware victim-selection policy, the flush engine's per-epoch
-//! set-bitmap bookkeeping (1 bit per 64 sets), an exact per-epoch line
-//! index, and the LLC directory used to detect inter-thread conflicts.
+//! epoch-aware victim-selection policy, an exact per-epoch line index
+//! (standing in for the flush engine's per-epoch set bitmap), and the LLC
+//! directory used to detect inter-thread conflicts.
 //!
 //! The cache *controllers* (what happens on a miss, when to flush, the
 //! epoch flush handshake) live in `pbm-sim`; this crate only answers
@@ -29,14 +29,12 @@
 #![warn(missing_debug_implementations)]
 
 mod array;
-mod bitmap;
 mod directory;
 mod index;
 mod line;
 mod set;
 
 pub use array::{CacheArray, VictimChoice};
-pub use bitmap::EpochBitmap;
 pub use directory::{DirEntry, Directory};
 pub use index::EpochIndex;
 pub use line::{CacheLine, LineState};

@@ -19,7 +19,6 @@ enum Op {
     Write(u64, Option<(u32, u64)>),
     Remove(u64),
     Writeback(u64),
-    Retag((u32, u64), (u32, u64)),
 }
 
 fn tag(t: (u32, u64)) -> EpochTag {
@@ -94,7 +93,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (line.clone(), proptest::option::of(t.clone())).prop_map(|(l, t)| Op::Write(l, t)),
         line.clone().prop_map(Op::Remove),
         line.prop_map(Op::Writeback),
-        (t.clone(), t).prop_map(|(a, b)| Op::Retag(a, b)),
     ]
 }
 
@@ -168,20 +166,6 @@ proptest! {
                             .find(|x| x.addr == LineAddr::new(l))
                             .unwrap();
                         entry.mark_written_back();
-                    }
-                }
-                Op::Retag(a, b) => {
-                    if a != b {
-                        let n = array.retag_epoch(tag(a), tag(b));
-                        let expected = model.lines_of_epoch(tag(a)).len();
-                        prop_assert_eq!(n, expected);
-                        for set in model.sets.values_mut() {
-                            for entry in set.iter_mut() {
-                                if entry.tag == Some(tag(a)) {
-                                    entry.tag = Some(tag(b));
-                                }
-                            }
-                        }
                     }
                 }
             }

@@ -7,16 +7,19 @@
 //! `PersistCMP`. Epochs of one core flush strictly in program order, one at
 //! a time; the arbiter additionally holds an epoch's flush until every IDT
 //! source epoch recorded for it has persisted (§4.2's dependence
-//! registers), and notifies dependents from its inform registers once an
-//! epoch persists.
+//! registers). The `PersistCMP` broadcast releases those registers at
+//! every other arbiter; the inform registers are only counted and freed
+//! on persist.
 //!
 //! The arbiter is a pure state machine: it consumes events (`bank_ack`,
-//! `dependence_satisfied`, flush requests) and emits [`ArbiterAction`]s for
-//! the timing layer to execute. This keeps the protocol logic exhaustively
-//! testable without a simulator.
+//! `dependence_satisfied`, flush requests) and emits [`ArbiterAction`]s.
+//! [`Protocol`](crate::Protocol) drives one arbiter per core and makes
+//! the cross-core decisions.
 
 use crate::epoch::EpochLedger;
 use crate::idt::{IdtOverflow, IdtRegisters};
+use crate::tally::Tally;
+use pbm_types::bug::{self, InjectedBug};
 use pbm_types::{CoreId, EpochId, EpochPhase, EpochTag, SystemConfig};
 
 /// What the timing layer must do on behalf of the arbiter.
@@ -26,23 +29,16 @@ pub enum ArbiterAction {
     /// banks and broadcast `FlushEpoch` (step ① of Figure 8).
     StartEpochFlush(EpochTag),
     /// All banks acked: broadcast `PersistCMP` (step ④) so banks may
-    /// advance to the next epoch of this core.
+    /// advance to the next epoch of this core, and every other arbiter
+    /// releases the dependence registers naming this epoch.
     BroadcastPersistCmp(EpochTag),
-    /// Tell the arbiter of `dependent.core` that `source` has persisted
-    /// (inform-register notification, §4.2).
-    NotifyDependent {
-        /// The epoch that just persisted (ours).
-        source: EpochTag,
-        /// The waiting epoch on another core.
-        dependent: EpochTag,
-    },
     /// Bookkeeping signal: this epoch is now durable (stats, ledger hooks,
     /// unblocking of requests queued on the persist).
     EpochPersisted(EpochTag),
 }
 
 /// Where the arbiter's flush pipeline currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushPhase {
     /// No flush in progress.
     Idle,
@@ -53,7 +49,7 @@ pub enum FlushPhase {
 }
 
 /// The per-core epoch arbiter: ledger + IDT registers + flush FSM.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EpochArbiter {
     core: CoreId,
     num_banks: usize,
@@ -64,7 +60,7 @@ pub struct EpochArbiter {
     /// Highest epoch id requested to flush (conflicts, PF, back-pressure,
     /// drain). `None` = nothing requested.
     goal: Option<EpochId>,
-    splits: u64,
+    splits: Tally,
 }
 
 impl EpochArbiter {
@@ -78,7 +74,7 @@ impl EpochArbiter {
             phase: FlushPhase::Idle,
             acks: 0,
             goal: None,
-            splits: 0,
+            splits: Tally::default(),
         }
     }
 
@@ -112,13 +108,13 @@ impl EpochArbiter {
     /// Splits the ongoing epoch for deadlock avoidance (§3.3): identical to
     /// a barrier, but counted separately. Returns the completed first half.
     pub fn split_current(&mut self) -> EpochId {
-        self.splits += 1;
+        self.splits.bump();
         self.ledger.close_current()
     }
 
     /// Number of deadlock-avoidance splits performed.
     pub fn split_count(&self) -> u64 {
-        self.splits
+        self.splits.get()
     }
 
     /// Requests that all epochs up to and including `epoch` be flushed.
@@ -175,8 +171,17 @@ impl EpochArbiter {
     /// A remote source epoch persisted; releases matching dependence
     /// registers and resumes a stalled flush if possible.
     pub fn dependence_satisfied(&mut self, source: EpochTag) -> Vec<ArbiterAction> {
+        self.release(source)
+            .map(ArbiterAction::StartEpochFlush)
+            .into_iter()
+            .collect()
+    }
+
+    /// [`Self::dependence_satisfied`] without the allocation: the epoch
+    /// whose flush starts, if any.
+    pub(crate) fn release(&mut self, source: EpochTag) -> Option<EpochTag> {
         self.idt.satisfy(source);
-        self.try_advance()
+        self.advance()
     }
 
     /// A bank acknowledged the current epoch flush (step ③).
@@ -185,10 +190,25 @@ impl EpochArbiter {
     ///
     /// Panics if no flush is awaiting acks for `epoch` — a protocol bug.
     pub fn bank_ack(&mut self, epoch: EpochId) -> Vec<ArbiterAction> {
-        let premature = premature_bank_ack_bug();
+        let Some(tag) = self.ack(epoch) else {
+            return Vec::new();
+        };
+        let mut actions = vec![
+            ArbiterAction::BroadcastPersistCmp(tag),
+            ArbiterAction::EpochPersisted(tag),
+        ];
+        actions.extend(self.advance().map(ArbiterAction::StartEpochFlush));
+        actions
+    }
+
+    /// Counts one `BankAck`; on the last one the epoch persists (step ④)
+    /// and its tag is returned. Does not start the next flush: call
+    /// [`Self::advance`] for that.
+    pub(crate) fn ack(&mut self, epoch: EpochId) -> Option<EpochTag> {
+        let premature = bug::hit(InjectedBug::PrematureBankAck);
         if premature && self.phase != FlushPhase::AwaitingBankAcks(epoch) {
             // Stray late acks from a flush the bug already "completed".
-            return Vec::new();
+            return None;
         }
         assert_eq!(
             self.phase,
@@ -198,47 +218,46 @@ impl EpochArbiter {
         self.acks += 1;
         let needed = if premature { 1 } else { self.num_banks };
         if self.acks < needed {
-            return Vec::new();
+            return None;
         }
-        // Step ④: epoch persisted.
-        let tag = EpochTag::new(self.core, epoch);
         self.ledger.mark_persisted(epoch);
         self.phase = FlushPhase::Idle;
         self.acks = 0;
-        let mut actions = vec![
-            ArbiterAction::BroadcastPersistCmp(tag),
-            ArbiterAction::EpochPersisted(tag),
-        ];
-        for dependent in self.idt.drain_inform(epoch) {
-            actions.push(ArbiterAction::NotifyDependent {
-                source: tag,
-                dependent,
-            });
-        }
-        actions.extend(self.try_advance());
-        actions
+        // The inform registers are freed; the PersistCMP broadcast is
+        // what releases the dependents (it also covers inform overflow).
+        self.idt.drain_inform(epoch);
+        Some(EpochTag::new(self.core, epoch))
     }
 
     /// Attempts to start (or resume) flushing toward the goal. Returns the
     /// actions to execute; empty if nothing can proceed.
     pub fn try_advance(&mut self) -> Vec<ArbiterAction> {
+        self.advance()
+            .map(ArbiterAction::StartEpochFlush)
+            .into_iter()
+            .collect()
+    }
+
+    /// [`Self::try_advance`] without the allocation: the epoch whose flush
+    /// starts, if any.
+    pub(crate) fn advance(&mut self) -> Option<EpochTag> {
         if matches!(self.phase, FlushPhase::AwaitingBankAcks(_)) {
-            return Vec::new();
+            return None;
         }
         let Some(goal) = self.goal else {
             self.phase = FlushPhase::Idle;
-            return Vec::new();
+            return None;
         };
         let Some(next) = self.ledger.first_unpersisted() else {
             self.phase = FlushPhase::Idle;
             self.goal = None;
-            return Vec::new();
+            return None;
         };
         if next > goal {
             // Everything requested has persisted.
             self.phase = FlushPhase::Idle;
             self.goal = None;
-            return Vec::new();
+            return None;
         }
         match self.ledger.state(next) {
             EpochPhase::Ongoing => {
@@ -249,14 +268,12 @@ impl EpochArbiter {
             EpochPhase::Completed => {
                 if !self.idt.is_clear(next) {
                     self.phase = FlushPhase::WaitingDeps(next);
-                    return Vec::new();
+                    return None;
                 }
                 self.ledger.begin_flush(next);
                 self.phase = FlushPhase::AwaitingBankAcks(next);
                 self.acks = 0;
-                vec![ArbiterAction::StartEpochFlush(EpochTag::new(
-                    self.core, next,
-                ))]
+                Some(EpochTag::new(self.core, next))
             }
             EpochPhase::Flushing | EpochPhase::Persisted => {
                 unreachable!("frontier in impossible state")
@@ -267,19 +284,6 @@ impl EpochArbiter {
     /// True if `epoch` of this core has fully persisted.
     pub fn is_persisted(&self, epoch: EpochId) -> bool {
         self.ledger.is_persisted(epoch)
-    }
-}
-
-/// True when the `premature-bank-ack` injected bug is active (always
-/// `false` without the `bug-inject` feature).
-fn premature_bank_ack_bug() -> bool {
-    #[cfg(feature = "bug-inject")]
-    {
-        pbm_types::bug::is_active(pbm_types::bug::InjectedBug::PrematureBankAck)
-    }
-    #[cfg(not(feature = "bug-inject"))]
-    {
-        false
     }
 }
 
@@ -378,16 +382,24 @@ mod tests {
         let mut a = arbiter();
         let e0 = a.barrier();
         a.add_inform(e0, tag(2, 5)).unwrap();
+        assert_eq!(a.idt().recorded_count(), 1);
         a.request_flush_upto(e0);
         a.try_advance();
         for _ in 0..3 {
             a.bank_ack(e0);
         }
+        // The dependent learns of the persist from the PersistCMP
+        // broadcast, the same message every other arbiter sees...
         let done = a.bank_ack(e0);
-        assert!(done.contains(&ArbiterAction::NotifyDependent {
-            source: tag(0, 0),
-            dependent: tag(2, 5),
-        }));
+        assert_eq!(
+            done,
+            vec![
+                ArbiterAction::BroadcastPersistCmp(tag(0, 0)),
+                ArbiterAction::EpochPersisted(tag(0, 0)),
+            ]
+        );
+        // ...and the persist frees the epoch's inform registers.
+        assert!(a.idt().clone().drain_inform(e0).is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! This module models the *cost*: how many NVRAM line writes each
 //! checkpoint adds to an epoch flush.
 
-use pbm_types::{LineAddr, LINE_SIZE};
+use pbm_types::LineAddr;
 
 /// Cost model of one per-epoch processor-state checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,11 +31,6 @@ impl CheckpointModel {
     pub fn lines_per_epoch(&self) -> u64 {
         LineAddr::lines_for(self.bytes)
     }
-
-    /// Total checkpoint traffic in bytes after `epochs` epochs.
-    pub fn traffic_bytes(&self, epochs: u64) -> u64 {
-        self.lines_per_epoch() * LINE_SIZE * epochs
-    }
 }
 
 #[cfg(test)]
@@ -54,11 +49,5 @@ mod tests {
         assert_eq!(CheckpointModel::new(1).lines_per_epoch(), 1);
         assert_eq!(CheckpointModel::new(65).lines_per_epoch(), 2);
         assert_eq!(CheckpointModel::new(0).lines_per_epoch(), 0);
-    }
-
-    #[test]
-    fn traffic_accumulates() {
-        let m = CheckpointModel::new(512);
-        assert_eq!(m.traffic_bytes(10), 8 * 64 * 10);
     }
 }

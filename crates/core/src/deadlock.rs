@@ -83,8 +83,9 @@ mod tests {
     /// Drives the full §3.3 split sequence through the arbiter: a
     /// dependence landing on an *ongoing* epoch splits it, the completed
     /// first half becomes immediately flushable (it is the dependence
-    /// source), the remainder continues as a fresh epoch, and the inform
-    /// entry recorded against the first half is delivered when it persists.
+    /// source), the remainder continues as a fresh epoch, and the first
+    /// half's persist broadcasts the `PersistCMP` that releases the
+    /// dependent.
     #[test]
     fn split_path_through_the_arbiter() {
         use crate::arbiter::{ArbiterAction, EpochArbiter};
@@ -121,16 +122,14 @@ mod tests {
             vec![ArbiterAction::StartEpochFlush(tag0)]
         );
 
-        // When the first half persists, the recorded dependent is notified
-        // and no register leaked onto the remainder epoch.
+        // When the first half persists, the broadcast names it (the
+        // dependent's release) and no register leaked onto the remainder
+        // epoch.
         let mut last = Vec::new();
         for _ in 0..cfg.llc_banks {
             last = src.bank_ack(first_half);
         }
-        assert!(last.contains(&ArbiterAction::NotifyDependent {
-            source: tag0,
-            dependent
-        }));
+        assert!(last.contains(&ArbiterAction::BroadcastPersistCmp(tag0)));
         src.idt().assert_no_registers_above(first_half);
     }
 

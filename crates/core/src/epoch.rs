@@ -1,42 +1,39 @@
 //! Per-core epoch lifecycle tracking.
 
 use pbm_types::{CoreId, EpochId, EpochPhase, EpochTag};
-use std::collections::BTreeMap;
 
 /// The per-core epoch ledger: tracks the ongoing epoch, the persisted
-/// frontier, and the states in between.
+/// frontier, and whether the frontier is being flushed.
 ///
 /// Mirrors the hardware's per-core epoch-ID counter plus the in-flight
 /// epoch window: the 3-bit architectural epoch id supports
 /// [`inflight`](Self::inflight) ≤ 8 distinguishable epochs; exceeding the
 /// window must back-pressure the core (checked by the caller via
 /// [`Self::inflight`]).
-#[derive(Debug, Clone)]
+///
+/// Epochs persist in order, one at a time, so every epoch's state follows
+/// from three values: below the frontier is persisted, `current` is
+/// ongoing, the frontier is flushing while `flushing` is set, and every
+/// other epoch in between is completed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EpochLedger {
     core: CoreId,
     current: EpochId,
     /// Oldest epoch that is not yet persisted. Everything below is
     /// persisted.
     frontier: EpochId,
-    /// States for epochs in `frontier ..= current` (ongoing/completed/
-    /// flushing). Absent keys in range default to `Completed`.
-    states: BTreeMap<EpochId, EpochPhase>,
-    persisted_count: u64,
-    completed_count: u64,
+    /// The frontier epoch's flush is in progress.
+    flushing: bool,
 }
 
 impl EpochLedger {
     /// Creates a ledger for `core`, with epoch 0 ongoing.
     pub fn new(core: CoreId) -> Self {
-        let mut states = BTreeMap::new();
-        states.insert(EpochId::FIRST, EpochPhase::Ongoing);
         EpochLedger {
             core,
             current: EpochId::FIRST,
             frontier: EpochId::FIRST,
-            states,
-            persisted_count: 0,
-            completed_count: 0,
+            flushing: false,
         }
     }
 
@@ -74,12 +71,14 @@ impl EpochLedger {
     pub fn state(&self, epoch: EpochId) -> EpochPhase {
         assert!(epoch <= self.current, "epoch {epoch} not yet created");
         if epoch < self.frontier {
-            return EpochPhase::Persisted;
+            EpochPhase::Persisted
+        } else if epoch == self.current {
+            EpochPhase::Ongoing
+        } else if epoch == self.frontier && self.flushing {
+            EpochPhase::Flushing
+        } else {
+            EpochPhase::Completed
         }
-        self.states
-            .get(&epoch)
-            .copied()
-            .unwrap_or(EpochPhase::Completed)
     }
 
     /// True if `epoch` has fully persisted.
@@ -97,10 +96,7 @@ impl EpochLedger {
     /// next. Returns the id of the epoch just completed.
     pub fn close_current(&mut self) -> EpochId {
         let closed = self.current;
-        self.states.insert(closed, EpochPhase::Completed);
         self.current = closed.next();
-        self.states.insert(self.current, EpochPhase::Ongoing);
-        self.completed_count += 1;
         closed
     }
 
@@ -121,7 +117,7 @@ impl EpochLedger {
             EpochPhase::Completed,
             "only completed epochs can flush"
         );
-        self.states.insert(epoch, EpochPhase::Flushing);
+        self.flushing = true;
     }
 
     /// Marks `epoch` fully persisted and advances the frontier.
@@ -132,27 +128,14 @@ impl EpochLedger {
     pub fn mark_persisted(&mut self, epoch: EpochId) {
         assert_eq!(Some(epoch), self.first_unpersisted());
         assert_eq!(self.state(epoch), EpochPhase::Flushing);
-        self.states.remove(&epoch);
+        self.flushing = false;
         self.frontier = epoch.next();
-        self.persisted_count += 1;
     }
 
-    /// Epochs persisted so far.
-    pub fn persisted_count(&self) -> u64 {
-        self.persisted_count
-    }
-
-    /// Epochs completed (closed) so far.
+    /// Epochs completed (closed) so far: every epoch below the ongoing
+    /// one.
     pub fn completed_count(&self) -> u64 {
-        self.completed_count
-    }
-
-    /// Ids of completed-but-unpersisted epochs, oldest first.
-    pub fn unpersisted_completed(&self) -> Vec<EpochId> {
-        (self.frontier.as_u64()..self.current.as_u64())
-            .map(EpochId::new)
-            .filter(|e| matches!(self.state(*e), EpochPhase::Completed | EpochPhase::Flushing))
-            .collect()
+        self.current.as_u64()
     }
 }
 
@@ -196,7 +179,6 @@ mod tests {
         assert_eq!(l.state(e), EpochPhase::Persisted);
         assert!(l.is_persisted(e));
         assert_eq!(l.inflight(), 1);
-        assert_eq!(l.persisted_count(), 1);
         assert_eq!(l.first_unpersisted(), Some(EpochId::new(1)));
     }
 
@@ -218,10 +200,10 @@ mod tests {
         let mut l = ledger();
         l.close_current();
         l.close_current();
-        assert_eq!(
-            l.unpersisted_completed(),
-            vec![EpochId::new(0), EpochId::new(1)]
-        );
+        assert_eq!(l.state(EpochId::new(0)), EpochPhase::Completed);
+        assert_eq!(l.state(EpochId::new(1)), EpochPhase::Completed);
+        assert_eq!(l.state(EpochId::new(2)), EpochPhase::Ongoing);
+        assert_eq!(l.first_unpersisted(), Some(EpochId::new(0)));
     }
 
     #[test]

@@ -68,14 +68,6 @@ impl HbGraph {
         self.succ.keys().copied()
     }
 
-    /// Direct predecessors of `e` (epochs that must persist before it).
-    pub fn predecessors(&self, e: EpochTag) -> Vec<EpochTag> {
-        self.pred
-            .get(&e)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Direct successors of `e` (epochs that must persist after it).
     pub fn successors(&self, e: EpochTag) -> Vec<EpochTag> {
         self.succ
@@ -182,25 +174,6 @@ impl HbGraph {
         }
         None
     }
-
-    /// Checks that `persisted` is prefix-closed: every predecessor of a
-    /// persisted epoch is itself persisted. Returns the first violating
-    /// `(missing_predecessor, persisted_epoch)` pair, or `None` if closed.
-    pub fn prefix_violation<F>(&self, persisted: F) -> Option<(EpochTag, EpochTag)>
-    where
-        F: Fn(EpochTag) -> bool,
-    {
-        for (node, preds) in &self.pred {
-            if persisted(*node) {
-                for p in preds {
-                    if !persisted(*p) {
-                        return Some((*p, *node));
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +194,7 @@ mod tests {
         hb.add_dependence(tag(0, 2), tag(1, 0));
         assert!(hb.is_acyclic());
         assert_eq!(hb.edge_count(), 3);
-        assert_eq!(hb.predecessors(tag(1, 0)), vec![tag(0, 2)]);
+        assert_eq!(hb.successors(tag(0, 2)), vec![tag(1, 0)]);
     }
 
     #[test]
@@ -247,9 +220,6 @@ mod tests {
         assert!(hb.is_acyclic());
         assert_eq!(hb.find_cycle(), None);
         assert_eq!(hb.edge_count(), 0);
-        // Prefix closure over no nodes holds for every predicate.
-        assert_eq!(hb.prefix_violation(|_| true), None);
-        assert_eq!(hb.prefix_violation(|_| false), None);
         assert_eq!(hb.nodes().count(), 0);
     }
 
@@ -261,7 +231,7 @@ mod tests {
         hb.add_dependence(tag(1, 0), tag(0, 1));
         hb.add_dependence(tag(1, 0), tag(0, 1));
         assert_eq!(hb.edge_count(), 2, "sets deduplicate edges");
-        assert_eq!(hb.predecessors(tag(0, 1)), vec![tag(0, 0), tag(1, 0)]);
+        assert_eq!(hb.successors(tag(1, 0)), vec![tag(0, 1)]);
         assert!(hb.is_acyclic());
     }
 
@@ -317,21 +287,6 @@ mod tests {
         hb.add_dependence(tag(0, 0), tag(0, 1));
     }
 
-    #[test]
-    fn prefix_closure_detects_missing_predecessor() {
-        let mut hb = HbGraph::new();
-        hb.add_program_order(tag(0, 0), tag(0, 1));
-        hb.add_dependence(tag(1, 0), tag(0, 1));
-        // 0:E1 persisted but its inter-thread source 1:E0 is not.
-        let persisted = |t: EpochTag| t == tag(0, 1) || t == tag(0, 0);
-        assert_eq!(hb.prefix_violation(persisted), Some((tag(1, 0), tag(0, 1))));
-        // Once the source persists too the set is closed.
-        let all = |_t: EpochTag| true;
-        assert_eq!(hb.prefix_violation(all), None);
-        let none = |_t: EpochTag| false;
-        assert_eq!(hb.prefix_violation(none), None);
-    }
-
     proptest! {
         /// Random forward-only edges (by (core,epoch) lexicographic order)
         /// can never form a cycle.
@@ -368,31 +323,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(hb.is_acyclic(), hb.find_cycle().is_none());
-        }
-
-        /// A downward-closed cut of a random forward-edge DAG never has a
-        /// prefix violation.
-        #[test]
-        fn prop_downward_cut_is_prefix_closed(
-            edges in proptest::collection::vec(
-                (0u32..3, 0u64..3, 0u32..3, 0u64..3), 1..20),
-            cut_core in 0u32..3, cut_epoch in 0u64..3,
-        ) {
-            let mut hb = HbGraph::new();
-            for (c1, e1, c2, e2) in edges {
-                // Edge from smaller (core+epoch) sum to larger keeps the
-                // "persisted iff sum < cut" set downward closed.
-                let (sa, sb) = (c1 as u64 + e1, c2 as u64 + e2);
-                if sa < sb {
-                    let a = tag(c1, e1);
-                    let b = tag(c2, e2);
-                    if c1 == c2 { hb.add_program_order(a, b); }
-                    else { hb.add_dependence(a, b); }
-                }
-            }
-            let cut = cut_core as u64 + cut_epoch;
-            let persisted = |t: EpochTag| (t.core.as_u32() as u64 + t.epoch.as_u64()) < cut;
-            prop_assert_eq!(hb.prefix_violation(persisted), None);
         }
     }
 }

@@ -8,6 +8,7 @@
 //! falls back to LB behaviour — an online flush — which the caller learns
 //! via [`IdtOverflow`].
 
+use crate::tally::Tally;
 use pbm_types::{EpochId, EpochTag};
 use std::collections::BTreeMap;
 
@@ -30,7 +31,7 @@ impl std::error::Error for IdtOverflow {}
 
 /// One core's IDT register file: per local epoch, up to `pairs` dependence
 /// entries and up to `pairs` inform entries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IdtRegisters {
     pairs: usize,
     /// dependence[e] = source epochs (other cores) that must persist before
@@ -39,8 +40,8 @@ pub struct IdtRegisters {
     /// inform[e] = dependent epochs (other cores) to notify when local
     /// epoch `e` persists.
     inform: BTreeMap<EpochId, Vec<EpochTag>>,
-    recorded: u64,
-    overflows: u64,
+    recorded: Tally,
+    overflows: Tally,
 }
 
 impl IdtRegisters {
@@ -56,8 +57,8 @@ impl IdtRegisters {
             pairs,
             dependence: BTreeMap::new(),
             inform: BTreeMap::new(),
-            recorded: 0,
-            overflows: 0,
+            recorded: Tally::default(),
+            overflows: Tally::default(),
         }
     }
 
@@ -78,11 +79,11 @@ impl IdtRegisters {
             return Ok(()); // already tracked; hardware would match and drop
         }
         if regs.len() >= self.pairs {
-            self.overflows += 1;
+            self.overflows.bump();
             return Err(IdtOverflow { epoch: dependent });
         }
         regs.push(source);
-        self.recorded += 1;
+        self.recorded.bump();
         Ok(())
     }
 
@@ -98,11 +99,11 @@ impl IdtRegisters {
             return Ok(());
         }
         if regs.len() >= self.pairs {
-            self.overflows += 1;
+            self.overflows.bump();
             return Err(IdtOverflow { epoch: source });
         }
         regs.push(dependent);
-        self.recorded += 1;
+        self.recorded.bump();
         Ok(())
     }
 
@@ -148,12 +149,12 @@ impl IdtRegisters {
 
     /// Dependences successfully recorded (both kinds).
     pub fn recorded_count(&self) -> u64 {
-        self.recorded
+        self.recorded.get()
     }
 
     /// Overflow events (fallbacks to online flush).
     pub fn overflow_count(&self) -> u64 {
-        self.overflows
+        self.overflows.get()
     }
 }
 

@@ -12,6 +12,10 @@
 //! * [`EpochArbiter`] — the per-core arbiter of §4.1/§4.2 that orchestrates
 //!   the multi-banked epoch flush handshake (FlushEpoch → BankAck →
 //!   PersistCMP) and enforces IDT dependences offline;
+//! * [`Protocol`] — every core's arbiter plus the cross-core decisions:
+//!   flush requests and their reasons, transitive IDT demand, the §3.3
+//!   split, IDT record with overflow fallback, PF, back-pressure and the
+//!   persist release. It emits timing [`Step`]s for `pbm-sim` to execute;
 //! * [`IdtRegisters`] — the bounded dependence/inform register file of
 //!   §3.1/§4.3, with overflow fallback;
 //! * [`split_decision`] — the deadlock-avoidance rule of §3.3 (split the
@@ -28,15 +32,18 @@
 //! # Example
 //!
 //! ```
-//! use pbm_core::{EpochArbiter, ArbiterAction};
-//! use pbm_types::{CoreId, EpochId, SystemConfig};
+//! use pbm_core::{Barrier, Protocol, Step};
+//! use pbm_types::{BarrierKind, CoreId, SystemConfig};
 //!
-//! let cfg = SystemConfig::small_test();
-//! let mut arb = EpochArbiter::new(CoreId::new(0), &cfg);
-//! let e0 = arb.barrier();              // close epoch 0
-//! arb.request_flush_upto(e0);
-//! let actions = arb.try_advance();
-//! assert!(matches!(actions[0], ArbiterAction::StartEpochFlush(t) if t.epoch == e0));
+//! let mut cfg = SystemConfig::small_test();
+//! cfg.barrier = BarrierKind::LbPp; // IDT + proactive flushing
+//! let mut protocol = Protocol::new(&cfg);
+//! let mut steps = Vec::new();
+//! let Barrier::Closed(e0) = protocol.barrier(CoreId::new(0), &mut steps) else {
+//!     unreachable!("the window is empty")
+//! };
+//! // PF starts persisting the closed epoch at once.
+//! assert!(steps.iter().any(|s| matches!(s, Step::Flush(tag, _) if tag.epoch == e0)));
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +56,9 @@ mod epoch;
 mod hb;
 mod idt;
 mod persistency;
+mod protocol;
 pub mod recovery;
+mod tally;
 
 pub use arbiter::{ArbiterAction, EpochArbiter, FlushPhase};
 pub use checkpoint::CheckpointModel;
@@ -58,3 +67,4 @@ pub use epoch::EpochLedger;
 pub use hb::HbGraph;
 pub use idt::{IdtOverflow, IdtRegisters};
 pub use persistency::BarrierSemantics;
+pub use protocol::{Barrier, Protocol, Step};

@@ -45,12 +45,6 @@ impl BarrierSemantics {
         matches!(self.kind, PersistencyKind::Strict | PersistencyKind::Epoch)
     }
 
-    /// True if every store must persist before the next becomes visible
-    /// (strict persistency rule S2 — the write-through baseline).
-    pub fn store_stalls(&self) -> bool {
-        self.kind == PersistencyKind::Strict
-    }
-
     /// `Some(n)` if hardware cuts an epoch every `n` dynamic stores
     /// (BSP bulk mode, §5.2); `None` for programmer-inserted barriers.
     pub fn hardware_epoch_size(&self) -> Option<u64> {
@@ -82,7 +76,6 @@ mod tests {
     fn strict_stalls_everything() {
         let s = BarrierSemantics::for_model(PersistencyKind::Strict, 0);
         assert!(s.barrier_stalls());
-        assert!(s.store_stalls());
         assert_eq!(s.hardware_epoch_size(), None);
         assert!(!s.needs_logging());
     }
@@ -91,14 +84,13 @@ mod tests {
     fn epoch_persistency_stalls_barriers_only() {
         let s = BarrierSemantics::for_model(PersistencyKind::Epoch, 0);
         assert!(s.barrier_stalls());
-        assert!(!s.store_stalls());
+        assert!(!s.needs_logging());
     }
 
     #[test]
     fn buffered_epoch_never_stalls() {
         let s = BarrierSemantics::for_model(PersistencyKind::BufferedEpoch, 0);
         assert!(!s.barrier_stalls());
-        assert!(!s.store_stalls());
         assert!(!s.needs_logging());
         assert!(!s.needs_checkpoint());
     }

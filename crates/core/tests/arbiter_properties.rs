@@ -52,8 +52,7 @@ proptest! {
                     ArbiterAction::EpochPersisted(t) => {
                         persisted_order.push(t.epoch);
                     }
-                    ArbiterAction::BroadcastPersistCmp(_)
-                    | ArbiterAction::NotifyDependent { .. } => {}
+                    ArbiterAction::BroadcastPersistCmp(_) => {}
                 }
             }
         };

@@ -17,7 +17,7 @@
 //! | [`noc`] | 2D-mesh on-chip network model |
 //! | [`nvram`] | NVRAM device, memory controllers, undo log, snapshots |
 //! | [`cache`] | epoch-tagged cache arrays, victim policy, directory |
-//! | [`core`] | the paper's contribution: arbiter, IDT, PF, deadlock avoidance, recovery checking |
+//! | [`core`] | the paper's contribution: arbiter, cross-core flush protocol, IDT, PF, deadlock avoidance, recovery checking |
 //! | [`sim`] | the deterministic multicore timing simulator |
 //! | [`workloads`] | Table 2 micro-benchmarks + nine BSP application proxies |
 //! | [`analyze`] | static persist-order analyzer: epoch partitioning, happens-before linting |

@@ -6,6 +6,7 @@ use crate::system::System;
 use pbm_cache::{CacheLine, VictimChoice};
 use pbm_noc::MessageClass;
 use pbm_nvram::LineValue;
+use pbm_types::bug::{self, InjectedBug};
 use pbm_types::{
     BankId, BarrierKind, CoreId, Cycle, EpochTag, FlushReason, LineAddr, NodeId, TraceEventKind,
 };
@@ -27,20 +28,11 @@ pub(crate) enum Access {
     },
 }
 
-/// Outcome of inter-thread conflict resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConflictOutcome {
-    /// IDT recorded the dependence; the request proceeds.
-    Proceed,
-    /// Online flush demanded; wait for the tag.
-    Wait(EpochTag),
-}
-
 impl System {
     /// The epoch tag a store by `core` to `line` would carry, if any.
     fn current_tag_for(&self, core: CoreId, line: LineAddr) -> Option<EpochTag> {
         if self.is_tagged_line(line) {
-            Some(self.arbiters[core.index()].ledger().current_tag())
+            Some(self.protocol.current_tag(core))
         } else {
             None
         }
@@ -64,19 +56,11 @@ impl System {
             let new_tag = self.current_tag_for(core, line);
             if let (Some(old), true) = (l.tag, l.tag != new_tag) {
                 debug_assert_eq!(old.core, core, "L1 lines carry our own tags");
-                if self.arbiters[core.index()].is_persisted(old.epoch) {
+                if self.protocol.is_persisted(old) {
                     // Stale tag: the epoch persisted; clean bookkeeping.
                     self.l1s[i].array.mark_written_back(line);
                 } else {
-                    // Intra-thread conflict (§3.2): this line belongs to
-                    // one of our earlier, un-persisted epochs.
-                    self.stats.conflicts_intra += 1;
-                    self.emit(TraceEventKind::ConflictIntra {
-                        core,
-                        epoch: old.epoch,
-                    });
-                    self.request_flush(core, old.epoch, FlushReason::Conflict);
-                    return Access::Blocked { tag: old };
+                    return self.intra_conflict(old);
                 }
             }
             if self.l1s[i].exclusive.contains(&line) {
@@ -110,10 +94,10 @@ impl System {
                 if let Some(ol) = self.l1s[oi].array.peek(line).copied() {
                     if ol.is_epoch_tagged() {
                         let src = ol.tag.expect("tagged");
-                        match self.inter_conflict(core, src) {
-                            ConflictOutcome::Wait(tag) => return Access::Blocked { tag },
-                            ConflictOutcome::Proceed => resolved = Some(src),
+                        if !self.inter_conflict(core, src) {
+                            return Access::Blocked { tag: src };
                         }
+                        resolved = Some(src);
                     }
                 }
                 // Re-read: conflict resolution may have flushed the line
@@ -168,26 +152,17 @@ impl System {
             // epoch has already persisted is stale bookkeeping (its value
             // is durable); clean it instead of conflicting.
             if let Some(ltag) = ll.tag {
-                if self.arbiters[ltag.core.index()].is_persisted(ltag.epoch) {
+                if self.protocol.is_persisted(ltag) {
                     self.banks[bi].array.mark_written_back(line);
                 } else if resolved == Some(ltag) {
                     // Already handled via the owner path in this access.
                 } else if ltag.core == core {
                     let new_tag = self.current_tag_for(core, line);
                     if is_store && Some(ltag) != new_tag {
-                        self.stats.conflicts_intra += 1;
-                        self.emit(TraceEventKind::ConflictIntra {
-                            core,
-                            epoch: ltag.epoch,
-                        });
-                        self.request_flush(core, ltag.epoch, FlushReason::Conflict);
-                        return Access::Blocked { tag: ltag };
+                        return self.intra_conflict(ltag);
                     }
-                } else {
-                    match self.inter_conflict(core, ltag) {
-                        ConflictOutcome::Wait(tag) => return Access::Blocked { tag },
-                        ConflictOutcome::Proceed => {}
-                    }
+                } else if !self.inter_conflict(core, ltag) {
+                    return Access::Blocked { tag: ltag };
                 }
             }
             self.stats.llc_hits += 1;
@@ -288,7 +263,7 @@ impl System {
         if let (Some(tag), true, false) = (
             tag.filter(|_| self.cfg.logging && self.sem.needs_logging()),
             prev_tag != tag,
-            skip_undo_log_bug(),
+            bug::hit(InjectedBug::SkipUndoLog),
         ) {
             // Token 0 marks a line that has never been written (the fill
             // value for absent NVRAM lines): its pre-image is "no value".
@@ -341,93 +316,30 @@ impl System {
         Access::Done { at }
     }
 
-    /// Resolves an inter-thread conflict against source epoch `src`
-    /// (§3.1): split the source if it is ongoing (§3.3), record the
-    /// dependence in the IDT registers if the barrier supports it, and
-    /// otherwise fall back to an online flush.
-    fn inter_conflict(&mut self, requestor: CoreId, src: EpochTag) -> ConflictOutcome {
-        debug_assert_ne!(src.core, requestor);
-        self.stats.conflicts_inter += 1;
-        let src = self.ensure_flushable(src);
-        let dep_epoch = self.arbiters[requestor.index()].ledger().current();
-        let dep_tag = EpochTag::new(requestor, dep_epoch);
-        self.emit(TraceEventKind::ConflictInter {
-            source: src,
-            dependent: dep_tag,
+    /// Intra-thread conflict (§3.2): the line belongs to one of the
+    /// core's own earlier, un-persisted epochs, so the request waits for
+    /// that epoch's flush.
+    fn intra_conflict(&mut self, tag: EpochTag) -> Access {
+        self.stats.conflicts_intra += 1;
+        self.emit(TraceEventKind::ConflictIntra {
+            core: tag.core,
+            epoch: tag.epoch,
         });
-        if self.cfg.barrier.has_idt() {
-            let dep_ok = if drop_idt_edge_bug() {
-                // Injected bug: pretend the dependence was recorded. The
-                // checker still journals the ground-truth requirement, so
-                // the unenforced ordering shows up at some crash cycle.
-                true
-            } else {
-                self.arbiters[requestor.index()]
-                    .add_dependence(dep_epoch, src)
-                    .is_ok()
-            };
-            if dep_ok {
-                self.emit(TraceEventKind::IdtRecord {
-                    source: src,
-                    dependent: dep_tag,
-                });
-                // Inform-register side; overflow there is tolerable because
-                // persist notifications are also broadcast.
-                if !drop_idt_edge_bug() {
-                    let _ = self.arbiters[src.core.index()].add_inform(src.epoch, dep_tag);
-                }
-                if let Some(ck) = self.checker.as_mut() {
-                    ck.record_dependence(src, dep_tag);
-                }
-                return ConflictOutcome::Proceed;
-            }
-            // Dependence registers full: LB fallback (counted by the
-            // arbiter's IDT overflow counter).
-            self.emit(TraceEventKind::IdtOverflow {
-                source: src,
-                dependent: dep_tag,
-            });
-        }
-        self.request_flush(src.core, src.epoch, FlushReason::Conflict);
-        ConflictOutcome::Wait(src)
+        self.blocked_on(tag, FlushReason::Conflict)
     }
 
-    /// §3.3: a dependence (or forced eviction) landed on an *ongoing*
-    /// epoch — split it so the completed first half can flush. Returns the
-    /// (unchanged) tag, which now names the completed half.
-    fn ensure_flushable(&mut self, tag: EpochTag) -> EpochTag {
-        let j = tag.core.index();
-        if skip_deadlock_split_bug() {
-            // Injected bug: hand back the tag unsplit. Downstream flush
-            // requests then name an ongoing epoch, which the arbiter
-            // rejects (panic) or which wedges the run — either way the
-            // harness flags it.
-            return tag;
-        }
-        if self.arbiters[j].ledger().current() == tag.epoch {
-            self.arbiters[j].split_current();
-            self.emit(TraceEventKind::DeadlockSplit {
-                core: tag.core,
-                epoch: tag.epoch,
-            });
-            self.emit_epoch_cut(tag.core, tag.epoch);
-            self.cores[j].epoch_stores = 0;
-            if self.cfg.barrier.has_pf() {
-                // PF treats the completed half like any completed epoch.
-                self.request_flush(tag.core, tag.epoch, FlushReason::Proactive);
-            }
-        }
-        tag
+    /// Inter-thread conflict (§3.1) against source epoch `src`: the
+    /// protocol splits, records the IDT dependence, or demands an online
+    /// flush. Returns `true` if the request may proceed.
+    fn inter_conflict(&mut self, requestor: CoreId, src: EpochTag) -> bool {
+        self.stats.conflicts_inter += 1;
+        self.run_protocol(|p, out| p.conflict(requestor, src, out))
     }
 
-    /// Common blocked-path bookkeeping: make sure the blocking epoch is
-    /// flushable and its flush requested, then report the blockage.
+    /// The request must wait for `tag` to persist: the protocol makes it
+    /// flushable and requests its flush.
     fn blocked_on(&mut self, tag: EpochTag, reason: FlushReason) -> Access {
-        if reason == FlushReason::Eviction {
-            self.stats.conflicts_intra += 0; // evictions are not conflicts
-        }
-        let tag = self.ensure_flushable(tag);
-        self.request_flush(tag.core, tag.epoch, reason);
+        self.run_protocol(|p, out| p.block_on(tag, reason, out));
         Access::Blocked { tag }
     }
 
@@ -445,7 +357,7 @@ impl System {
         if let Some(resident) = self.banks[bi].array.peek(line).copied() {
             if let Some(rtag) = resident.tag {
                 if Some(rtag) != tag {
-                    if self.arbiters[rtag.core.index()].is_persisted(rtag.epoch) {
+                    if self.protocol.is_persisted(rtag) {
                         self.banks[bi].array.mark_written_back(line);
                     } else {
                         return Err(rtag);
@@ -472,7 +384,7 @@ impl System {
             match self.banks[bi].array.victim_for(line) {
                 VictimChoice::Room => return Ok(()),
                 VictimChoice::EpochBlocked { tag, line: vline } => {
-                    if self.arbiters[tag.core.index()].is_persisted(tag.epoch) {
+                    if self.protocol.is_persisted(tag) {
                         // Stale tag; clean and re-evaluate the set.
                         self.banks[bi].array.mark_written_back(vline);
                         continue;
@@ -558,49 +470,7 @@ impl System {
         self.l1s[i].array.remove(victim_addr);
         self.l1s[i].exclusive.remove(&victim_addr);
         let vb = self.bank_of(victim_addr);
-        if !victim.is_dirty() {
-            self.banks[vb.index()].dir.drop_core(victim_addr, core);
-        } else {
-            // Dirty writeback: the LLC now owns the data.
-            self.banks[vb.index()].dir.drop_core(victim_addr, core);
-        }
+        self.banks[vb.index()].dir.drop_core(victim_addr, core);
         Ok(())
-    }
-}
-
-/// True when the `drop-idt-edge` injected bug is active (always `false`
-/// without the `bug-inject` feature).
-fn drop_idt_edge_bug() -> bool {
-    #[cfg(feature = "bug-inject")]
-    {
-        pbm_types::bug::is_active(pbm_types::bug::InjectedBug::DropIdtEdge)
-    }
-    #[cfg(not(feature = "bug-inject"))]
-    {
-        false
-    }
-}
-
-/// True when the `skip-deadlock-split` injected bug is active.
-fn skip_deadlock_split_bug() -> bool {
-    #[cfg(feature = "bug-inject")]
-    {
-        pbm_types::bug::is_active(pbm_types::bug::InjectedBug::SkipDeadlockSplit)
-    }
-    #[cfg(not(feature = "bug-inject"))]
-    {
-        false
-    }
-}
-
-/// True when the `skip-undo-log` injected bug is active.
-fn skip_undo_log_bug() -> bool {
-    #[cfg(feature = "bug-inject")]
-    {
-        pbm_types::bug::is_active(pbm_types::bug::InjectedBug::SkipUndoLog)
-    }
-    #[cfg(not(feature = "bug-inject"))]
-    {
-        false
     }
 }

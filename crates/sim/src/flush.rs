@@ -1,12 +1,12 @@
-//! Epoch-flush orchestration: executing arbiter actions against the timing
+//! Epoch-flush timing: executing the protocol's steps against the timing
 //! model (the Figure 8 handshake), persist bookkeeping, and wakeups.
 
 use crate::event::Event;
 use crate::system::System;
-use pbm_core::ArbiterAction;
+use pbm_core::{Protocol, Step};
 use pbm_noc::MessageClass;
 use pbm_types::{
-    BankId, CoreId, EpochId, EpochTag, FlushMode, FlushReason, LineAddr, McId, NodeId,
+    BankId, CoreId, EpochTag, FlushMode, FlushReason, LineAddr, McId, NodeId, TraceEventKind,
 };
 
 impl System {
@@ -26,113 +26,85 @@ impl System {
         McId::new(((line.as_u64() >> shift) % self.cfg.mcs as u64) as u32)
     }
 
-    /// Requests that `core` flush all epochs up to `upto` (inclusive),
-    /// attributing not-yet-attributed epochs to `reason`, and drives the
-    /// arbiter as far as it can go.
-    pub(crate) fn request_flush(&mut self, core: CoreId, upto: EpochId, reason: FlushReason) {
-        let i = core.index();
-        let Some(frontier) = self.arbiters[i].ledger().first_unpersisted() else {
-            return;
-        };
-        if upto < frontier {
-            return; // already durable
+    /// Runs one protocol entry point and executes the timing steps it
+    /// pushes, in order. Steps never call back into the protocol, so one
+    /// buffer serves every call.
+    pub(crate) fn run_protocol<R>(
+        &mut self,
+        decide: impl FnOnce(&mut Protocol, &mut Vec<Step>) -> R,
+    ) -> R {
+        let mut steps = std::mem::take(&mut self.steps);
+        let result = decide(&mut self.protocol, &mut steps);
+        for &step in &steps {
+            self.exec_step(step);
         }
-        for e in frontier.as_u64()..=upto.as_u64() {
-            // A conflict outranks any earlier attribution: if a request had
-            // to wait for this epoch, its persist was online no matter who
-            // started the flush (this is what Figure 12 counts).
-            let epoch = EpochId::new(e);
-            if self.obs.is_enabled() && !self.flush_reasons[i].contains_key(&epoch) {
-                // First request for this epoch: the causal anchor of its
-                // end-to-end persist latency in exported traces.
-                self.emit(pbm_types::TraceEventKind::FlushRequested {
-                    tag: EpochTag::new(core, epoch),
-                    reason,
+        steps.clear();
+        self.steps = steps;
+        result
+    }
+
+    /// Executes one protocol step against the timing model.
+    fn exec_step(&mut self, step: Step) {
+        match step {
+            Step::Requested(tag, reason) => {
+                self.emit(TraceEventKind::FlushRequested { tag, reason });
+            }
+            Step::Split(tag) => {
+                self.emit(TraceEventKind::DeadlockSplit {
+                    core: tag.core,
+                    epoch: tag.epoch,
                 });
+                self.epoch_cut(tag);
             }
-            self.flush_reasons[i]
-                .entry(epoch)
-                .and_modify(|r| {
-                    if reason == FlushReason::Conflict {
-                        *r = FlushReason::Conflict;
-                    }
-                })
-                .or_insert(reason);
-        }
-        self.arbiters[i].request_flush_upto(upto);
-        let actions = self.arbiters[i].try_advance();
-        self.apply_actions(core, actions);
-        self.propagate_dependence_demand(core);
-    }
-
-    /// If `core`'s arbiter is stalled waiting on IDT source epochs, demand
-    /// that those sources flush too (transitively). Without this, a
-    /// reactively-flushed configuration (LB+IDT) could wait forever on a
-    /// source nobody ever asked to flush.
-    pub(crate) fn propagate_dependence_demand(&mut self, core: CoreId) {
-        let i = core.index();
-        let pbm_core::FlushPhase::WaitingDeps(e) = self.arbiters[i].phase() else {
-            return;
-        };
-        // Pooled buffer: `request_flush` recurses back into this function,
-        // so a single scratch vector would not survive the reentrancy.
-        let mut sources = self.take_tag_buf();
-        sources.extend_from_slice(self.arbiters[i].idt().sources_of(e));
-        let reason = self.flush_reasons[i]
-            .get(&e)
-            .copied()
-            .unwrap_or(FlushReason::Conflict);
-        for &s in &sources {
-            self.request_flush(s.core, s.epoch, reason);
-        }
-        self.put_tag_buf(sources);
-    }
-
-    /// Executes a batch of arbiter actions for `core`'s arbiter.
-    pub(crate) fn apply_actions(&mut self, core: CoreId, actions: Vec<ArbiterAction>) {
-        for action in actions {
-            match action {
-                ArbiterAction::StartEpochFlush(tag) => self.start_epoch_flush(tag),
-                ArbiterAction::BroadcastPersistCmp(tag) => {
-                    // Step 4 of the handshake: control broadcast to every
-                    // bank (traffic only; bank state is implicit because the
-                    // arbiter serializes this core's epoch flushes).
-                    let now = self.now;
-                    for b in 0..self.cfg.llc_banks {
-                        self.send_msg(
-                            Self::node_core(tag.core),
-                            Self::node_bank(BankId::new(b as u32)),
-                            MessageClass::Control,
-                            now,
-                        );
+            Step::Closed(tag) => self.epoch_cut(tag),
+            Step::Conflict(source, dependent) => {
+                self.emit(TraceEventKind::ConflictInter { source, dependent });
+            }
+            Step::IdtRecord(source, dependent) => {
+                self.emit(TraceEventKind::IdtRecord { source, dependent });
+                if let Some(ck) = self.checker.as_mut() {
+                    ck.record_dependence(source, dependent);
+                }
+            }
+            Step::IdtOverflow(source, dependent) => {
+                self.emit(TraceEventKind::IdtOverflow { source, dependent });
+            }
+            Step::Flush(tag, reason) => self.start_epoch_flush(tag, reason),
+            Step::PersistCmp(tag) => {
+                // Step 4 of the handshake: control broadcast to every bank
+                // (traffic only; bank state is implicit because the
+                // arbiter serializes this core's epoch flushes).
+                let now = self.now;
+                for b in 0..self.cfg.llc_banks {
+                    self.send_msg(
+                        Self::node_core(tag.core),
+                        Self::node_bank(BankId::new(b as u32)),
+                        MessageClass::Control,
+                        now,
+                    );
+                }
+            }
+            Step::Persisted(tag, reason) => self.on_epoch_persisted(tag, reason),
+            Step::Wake(tag) => {
+                if let Some(ws) = self.waiters.remove(&tag) {
+                    for c in ws {
+                        self.queue.schedule(self.now + 1, Event::Step(c));
                     }
                 }
-                ArbiterAction::NotifyDependent { source, dependent } => {
-                    let j = dependent.core.index();
-                    let acts = self.arbiters[j].dependence_satisfied(source);
-                    self.apply_actions(dependent.core, acts);
-                    self.propagate_dependence_demand(dependent.core);
-                }
-                ArbiterAction::EpochPersisted(tag) => self.on_epoch_persisted(tag),
             }
         }
-        let _ = core;
     }
 
     /// Step 1–3 of the Figure 8 handshake, computed as a timed cascade:
     /// L1 writebacks + `FlushEpoch` broadcast, per-bank `FlushLines` to the
     /// controllers with `PersistAck`s, and a scheduled `BankAck` per bank.
-    fn start_epoch_flush(&mut self, tag: EpochTag) {
+    fn start_epoch_flush(&mut self, tag: EpochTag, reason: FlushReason) {
         let core = tag.core;
         let i = core.index();
         let t0 = self.now;
         let nbanks = self.cfg.llc_banks;
         self.flush_started.insert(tag, t0);
         if self.obs.is_enabled() {
-            let reason = self.flush_reasons[i]
-                .get(&tag.epoch)
-                .copied()
-                .unwrap_or(FlushReason::Drain);
             self.emit(pbm_types::TraceEventKind::FlushEpoch { tag, reason });
             self.emit(pbm_types::TraceEventKind::EpochPhase {
                 tag,
@@ -367,9 +339,8 @@ impl System {
 
     /// An epoch became durable: clear its lines' tags (making them
     /// conflict-free and, under `clflush` mode, invalid), then stats,
-    /// reason attribution, undo-log commit, dependent-arbiter notification
-    /// (broadcast), and waiter wakeups.
-    fn on_epoch_persisted(&mut self, tag: EpochTag) {
+    /// reason attribution and the undo-log commit.
+    fn on_epoch_persisted(&mut self, tag: EpochTag, reason: FlushReason) {
         let now = self.now;
         if self.obs.is_enabled() {
             self.emit(pbm_types::TraceEventKind::PersistCmp { tag });
@@ -385,10 +356,7 @@ impl System {
                 .epoch_flush_latency
                 .record((now - start).as_u64());
         }
-        match self.flush_reasons[tag.core.index()]
-            .remove(&tag.epoch)
-            .unwrap_or(FlushReason::Drain)
-        {
+        match reason {
             FlushReason::Conflict => self.stats.epochs_conflict_flushed += 1,
             FlushReason::Eviction => self.stats.epochs_eviction_flushed += 1,
             FlushReason::Proactive => self.stats.epochs_proactive_flushed += 1,
@@ -406,23 +374,6 @@ impl System {
             let t_done = self.mcs[mc.index()].schedule_write(t_mc);
             self.stats.log_writes += 1;
             self.log.commit_epoch(tag, t_done);
-        }
-        // Release IDT dependence registers everywhere. The inform-register
-        // NotifyDependent path delivers the same information; this broadcast
-        // additionally covers register-overflow fallbacks.
-        for j in 0..self.arbiters.len() {
-            if j == tag.core.index() {
-                continue;
-            }
-            let acts = self.arbiters[j].dependence_satisfied(tag);
-            self.apply_actions(CoreId::new(j as u32), acts);
-            self.propagate_dependence_demand(CoreId::new(j as u32));
-        }
-        // Wake every core parked on this epoch.
-        if let Some(ws) = self.waiters.remove(&tag) {
-            for c in ws {
-                self.queue.schedule(now + 1, Event::Step(c));
-            }
         }
     }
 }

@@ -4,17 +4,16 @@ use crate::event::{Event, EventQueue};
 use crate::op::{Op, Program};
 use pbm_cache::CacheArray;
 use pbm_core::recovery::ConsistencyChecker;
-use pbm_core::{BarrierSemantics, EpochArbiter};
+use pbm_core::{Barrier, BarrierSemantics, Protocol, Step};
 use pbm_noc::{Mesh, MessageClass};
 use pbm_nvram::{DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
 use pbm_obs::{Observer, Sampler};
 use pbm_types::{
-    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag,
-    FlushReason, LineAddr, MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent,
-    TraceEventKind,
+    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, LineAddr,
+    MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent, TraceEventKind,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Byte addresses at or above this boundary are *volatile*: never epoch
 /// tagged, never logged, excluded from persistence checking. Workloads put
@@ -58,9 +57,9 @@ impl CoreState {
 /// Reusable scratch buffers for the access/flush hot paths. Every buffer
 /// is taken (`std::mem::take` or pool pop) for the duration of one
 /// operation and returned cleared, so steady-state simulation does no
-/// per-event allocation for these temporaries. Pools (rather than single
-/// buffers) back the paths that nest: eviction recalls inside writebacks,
-/// and transitive dependence-demand propagation.
+/// per-event allocation for these temporaries. A pool (rather than a
+/// single buffer) backs the path that nests: eviction recalls inside
+/// writebacks.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Per-bank `(line, value)` gather lists for the epoch-flush cascade.
@@ -74,8 +73,6 @@ pub(crate) struct Scratch {
     pub lines: Vec<LineAddr>,
     /// Pool of core-list buffers (directory holders, invalidation targets).
     pub core_bufs: Vec<Vec<CoreId>>,
-    /// Pool of epoch-tag buffers (dependence-demand propagation recurses).
-    pub tag_bufs: Vec<Vec<EpochTag>>,
 }
 
 #[derive(Debug)]
@@ -107,13 +104,14 @@ pub struct System {
     pub(crate) cores: Vec<CoreState>,
     pub(crate) l1s: Vec<L1State>,
     pub(crate) banks: Vec<BankState>,
-    pub(crate) arbiters: Vec<EpochArbiter>,
+    /// Every core's epoch arbiter and the cross-core flush decisions.
+    pub(crate) protocol: Protocol,
+    /// The protocol's step buffer, reused by every call.
+    pub(crate) steps: Vec<Step>,
     /// Architecturally-atomic spin locks: line -> holder.
     pub(crate) locks: HashMap<LineAddr, CoreId>,
     /// Cores parked until the given epoch persists.
     pub(crate) waiters: HashMap<EpochTag, Vec<CoreId>>,
-    /// Pending flush-trigger attribution per core.
-    pub(crate) flush_reasons: Vec<BTreeMap<EpochId, FlushReason>>,
     /// Flush start time per in-flight epoch (for the latency histogram).
     pub(crate) flush_started: HashMap<EpochTag, Cycle>,
     /// BSP: cycle by which an epoch's undo-log records are durable.
@@ -170,9 +168,6 @@ impl System {
                 dir: pbm_cache::Directory::new(),
             })
             .collect();
-        let arbiters = (0..cfg.cores)
-            .map(|i| EpochArbiter::new(CoreId::new(i as u32), &cfg))
-            .collect();
         let sem = BarrierSemantics::for_model(cfg.persistency, cfg.bsp_epoch_size);
         Ok(System {
             sem,
@@ -183,10 +178,10 @@ impl System {
             cores: programs.into_iter().map(CoreState::new).collect(),
             l1s,
             banks,
-            arbiters,
+            protocol: Protocol::new(&cfg),
+            steps: Vec::new(),
             locks: HashMap::new(),
             waiters: HashMap::new(),
-            flush_reasons: vec![BTreeMap::new(); cfg.cores],
             flush_started: HashMap::new(),
             log_ready: HashMap::new(),
             queue: EventQueue::new(),
@@ -304,20 +299,21 @@ impl System {
         self.obs.push_sample(sample);
     }
 
-    /// Emits the epoch-lifecycle pair for a barrier/split cut: the closed
-    /// epoch completes and the arbiter's new current epoch opens.
-    pub(crate) fn emit_epoch_cut(&mut self, core: CoreId, closed: EpochId) {
+    /// A barrier, split or drain closed `closed`: emits the
+    /// epoch-lifecycle pair (the closed epoch completes, the next one
+    /// opens) and restarts the core's hardware epoch-cut count.
+    pub(crate) fn epoch_cut(&mut self, closed: EpochTag) {
         if self.obs.is_enabled() {
-            let opened = self.arbiters[core.index()].ledger().current_tag();
             self.emit(TraceEventKind::EpochPhase {
-                tag: EpochTag::new(core, closed),
+                tag: closed,
                 phase: EpochPhase::Completed,
             });
             self.emit(TraceEventKind::EpochPhase {
-                tag: opened,
+                tag: EpochTag::new(closed.core, closed.epoch.next()),
                 phase: EpochPhase::Ongoing,
             });
         }
+        self.cores[closed.core.index()].epoch_stores = 0;
     }
 
     /// The configuration in use.
@@ -367,7 +363,7 @@ impl System {
         if self.obs.is_enabled() && self.epochs_enabled() {
             // Open every core's first epoch on the trace timeline.
             for i in 0..self.cores.len() {
-                let tag = self.arbiters[i].ledger().current_tag();
+                let tag = self.protocol.current_tag(CoreId::new(i as u32));
                 self.emit(TraceEventKind::EpochPhase {
                     tag,
                     phase: EpochPhase::Ongoing,
@@ -419,11 +415,7 @@ impl System {
                         tag: EpochTag::new(core, epoch),
                         bank,
                     });
-                    let actions = self.arbiters[core.index()].bank_ack(epoch);
-                    self.apply_actions(core, actions);
-                    // The next epoch of this core may have stalled on IDT
-                    // sources; make sure those sources are asked to flush.
-                    self.propagate_dependence_demand(core);
+                    self.run_protocol(|p, out| p.bank_ack(core, epoch, out));
                 }
             }
         }
@@ -445,8 +437,7 @@ impl System {
     fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for (i, c) in self.cores.iter().enumerate() {
-            let arb = &self.arbiters[i];
+        for (i, (c, arb)) in self.cores.iter().zip(self.protocol.arbiters()).enumerate() {
             let _ = writeln!(
                 s,
                 "C{i}: pc={}/{} stalled={:?} phase={:?} current={} frontier={:?} deps={:?}",
@@ -468,7 +459,7 @@ impl System {
     }
 
     /// After all cores retire, flush every remaining epoch so the durable
-    /// state is complete (counted under [`FlushReason::Drain`]).
+    /// state is complete (counted under [`pbm_types::FlushReason::Drain`]).
     fn drain_epochs(&mut self) {
         if !self.epochs_enabled() {
             return;
@@ -476,21 +467,10 @@ impl System {
         for i in 0..self.cores.len() {
             let core = CoreId::new(i as u32);
             // Close the ongoing epoch if it dirtied anything.
-            let tag = self.arbiters[i].ledger().current_tag();
+            let tag = self.protocol.current_tag(core);
             let has_lines = self.l1s[i].array.epoch_len(tag) > 0
                 || self.banks.iter().any(|b| b.array.epoch_len(tag) > 0);
-            if has_lines {
-                let closed = self.arbiters[i].barrier();
-                self.emit_epoch_cut(core, closed);
-            }
-            if let Some(frontier) = self.arbiters[i].ledger().first_unpersisted() {
-                let last_completed = self.arbiters[i].ledger().current().prev();
-                if let Some(last) = last_completed {
-                    if frontier <= last {
-                        self.request_flush(core, last, FlushReason::Drain);
-                    }
-                }
-            }
+            self.run_protocol(|p, out| p.drain(core, has_lines, out));
         }
         self.drain_queue();
     }
@@ -505,7 +485,7 @@ impl System {
             .unwrap_or(0);
         self.stats.noc_messages = self.mesh.message_count();
         self.stats.noc_flits = self.mesh.flit_count();
-        for arb in &self.arbiters {
+        for arb in self.protocol.arbiters() {
             self.stats.deadlock_splits += arb.split_count();
             self.stats.idt_recorded += arb.idt().recorded_count();
             self.stats.idt_overflows += arb.idt().overflow_count();
@@ -758,7 +738,7 @@ impl System {
         }
         // Resuming an EP-stalled barrier: the epoch was already closed.
         if let Some(e) = self.cores[i].barrier_wait {
-            if self.arbiters[i].is_persisted(e) {
+            if self.protocol.is_persisted(EpochTag::new(core, e)) {
                 self.cores[i].barrier_wait = None;
                 return BarrierOutcome::Done(self.now + 1);
             }
@@ -766,31 +746,22 @@ impl System {
             self.park(core, tag, StallKind::Barrier);
             return BarrierOutcome::Blocked;
         }
-        let ledger = self.arbiters[i].ledger();
-        if ledger.inflight() >= self.cfg.inflight_epochs {
-            // 3-bit epoch-id window is full: wait for the frontier epoch.
-            let frontier = ledger.first_unpersisted().expect("window full");
-            let tag = EpochTag::new(core, frontier);
-            self.request_flush(core, frontier, FlushReason::BackPressure);
-            self.park(core, tag, StallKind::Barrier);
-            return BarrierOutcome::Blocked;
-        }
-        let closed = self.arbiters[i].barrier();
-        self.emit_epoch_cut(core, closed);
-        self.stats.barriers += 1;
-        self.cores[i].epoch_stores = 0;
-        if self.sem.barrier_stalls() {
-            // EP rule E2: the barrier itself waits for the epoch.
-            let tag = EpochTag::new(core, closed);
-            self.request_flush(core, closed, FlushReason::Barrier);
-            if !self.arbiters[i].is_persisted(closed) {
-                self.cores[i].barrier_wait = Some(closed);
-                self.park(core, tag, StallKind::Barrier);
+        let closed = match self.run_protocol(|p, out| p.barrier(core, out)) {
+            Barrier::Closed(closed) => closed,
+            Barrier::WindowFull(frontier) => {
+                // 3-bit epoch-id window is full: wait for the frontier.
+                self.park(core, frontier, StallKind::Barrier);
                 return BarrierOutcome::Blocked;
             }
-        } else if self.cfg.barrier.has_pf() {
-            // Proactive flushing: start persisting the completed epoch now.
-            self.request_flush(core, closed, FlushReason::Proactive);
+        };
+        self.stats.barriers += 1;
+        let tag = EpochTag::new(core, closed);
+        if self.sem.barrier_stalls() && !self.protocol.is_persisted(tag) {
+            // EP rule E2: the barrier itself waits for the epoch, whose
+            // flush the protocol has requested.
+            self.cores[i].barrier_wait = Some(closed);
+            self.park(core, tag, StallKind::Barrier);
+            return BarrierOutcome::Blocked;
         }
         BarrierOutcome::Done(self.now + 1)
     }
@@ -848,22 +819,11 @@ impl System {
         self.scratch.core_bufs.push(buf);
     }
 
-    /// Borrows an epoch-tag scratch buffer from the pool (empty).
-    pub(crate) fn take_tag_buf(&mut self) -> Vec<EpochTag> {
-        self.scratch.tag_bufs.pop().unwrap_or_default()
-    }
-
-    /// Returns an epoch-tag scratch buffer to the pool.
-    pub(crate) fn put_tag_buf(&mut self, mut buf: Vec<EpochTag>) {
-        buf.clear();
-        self.scratch.tag_bufs.push(buf);
-    }
-
     /// Parks `core` until `tag` persists (the flush request must already be
-    /// in flight — [`Self::request_flush`] arranges that).
+    /// in flight — the protocol call that reported the wait arranges that).
     pub(crate) fn park(&mut self, core: CoreId, tag: EpochTag, kind: StallKind) {
         debug_assert!(
-            !self.arbiters[tag.core.index()].is_persisted(tag.epoch),
+            !self.protocol.is_persisted(tag),
             "parking on an already-persisted epoch"
         );
         self.stats.parks += 1;

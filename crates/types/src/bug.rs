@@ -1,8 +1,9 @@
-//! Deliberately injected protocol bugs (`bug-inject` feature only).
+//! Deliberately injected protocol bugs.
 //!
 //! The crash-consistency harness in `pbm-check` validates that it has
 //! teeth by switching on one of these known-broken variants and asserting
-//! that the fuzzer flags it. Each bug disables exactly one of the
+//! that the fuzzer flags it. Every hook asks [`hit`], which is constant
+//! `false` without the `bug-inject` feature. Each bug disables exactly one of the
 //! correctness mechanisms the paper's design relies on; the hardware
 //! checker machinery keeps recording ground truth, so the resulting
 //! ordering/atomicity violations are observable at some crash cycle.
@@ -101,6 +102,14 @@ pub fn set_active(bug: Option<InjectedBug>) {
 /// The currently active bug, if any.
 pub fn active() -> Option<InjectedBug> {
     InjectedBug::from_code(ACTIVE.load(Ordering::Relaxed))
+}
+
+/// The one injected-bug hook: true if `bug` is the active one and the
+/// `bug-inject` feature is on. Without the feature it is constant `false`,
+/// so the default build compiles every hook away.
+#[inline]
+pub fn hit(bug: InjectedBug) -> bool {
+    cfg!(feature = "bug-inject") && is_active(bug)
 }
 
 /// True if `bug` is the active one.

@@ -24,10 +24,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "bug-inject")]
-pub mod bug;
-
 mod addr;
+pub mod bug;
 mod config;
 mod error;
 mod ids;
