@@ -19,6 +19,10 @@
 //! * no deadlock: a state with a requested, unpersisted epoch has a
 //!   pending `BankAck`, and a parked core waits on a requested epoch.
 //!
+//! The clean run's state counts are pinned (LB 385, LB+IDT 8,021, LB++
+//! 2,509), so a change to the reachable protocol state is always a
+//! deliberate diff.
+//!
 //! A protocol panic counts as a violation too. Under `--features
 //! bug-inject` the explorer must find `PrematureBankAck`,
 //! `SkipDeadlockSplit` and `DropIdtEdge`, and prints each one's shortest
@@ -330,14 +334,19 @@ fn explore(barrier: BarrierKind) -> Report {
 #[test]
 fn every_lazy_barrier_is_clean_over_all_interleavings() {
     let _switch = BUG_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    for (barrier, paths) in [
-        (BarrierKind::Lb, &["split", "window-full", "wake"][..]),
+    // The state counts are pinned: any change to the protocol's reachable
+    // state (or to what its `Eq`/`Hash` distinguishes) must show up here
+    // as a deliberate diff.
+    for (barrier, states, paths) in [
+        (BarrierKind::Lb, 385, &["split", "window-full", "wake"][..]),
         (
             BarrierKind::LbIdt,
+            8_021,
             &["split", "window-full", "idt-record", "idt-overflow"][..],
         ),
         (
             BarrierKind::LbPp,
+            2_509,
             &["split", "window-full", "idt-record", "idt-overflow"][..],
         ),
     ] {
@@ -352,6 +361,7 @@ fn every_lazy_barrier_is_clean_over_all_interleavings() {
             let steps: Vec<String> = path.iter().map(Action::to_string).collect();
             panic!("{barrier}: {why}\n  after: {}", steps.join("; "));
         }
+        assert_eq!(report.states, states, "{barrier}: reachable state count");
         for path in paths {
             assert!(
                 report.emitted.contains(path),
