@@ -194,14 +194,8 @@ impl CacheArray {
         Some(value)
     }
 
-    /// Lines currently attributed to `tag`, in address order.
-    pub fn lines_of_epoch(&self, tag: EpochTag) -> Vec<LineAddr> {
-        self.index.lines(tag)
-    }
-
     /// Appends the lines attributed to `tag` to `out`, in address order.
-    /// The allocation-free variant of [`CacheArray::lines_of_epoch`] for
-    /// callers that reuse a scratch buffer across enumerations.
+    /// Callers reuse one scratch buffer across enumerations.
     pub fn lines_of_epoch_into(&self, tag: EpochTag, out: &mut Vec<LineAddr>) {
         self.index.lines_into(tag, out);
     }
@@ -234,6 +228,12 @@ mod tests {
     /// 2 sets, 2 ways: lines 0,2,4.. map to set 0; 1,3,5.. to set 1.
     fn tiny() -> CacheArray {
         CacheArray::new(2, 2, 0)
+    }
+
+    fn lines(a: &CacheArray, t: EpochTag) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        a.lines_of_epoch_into(t, &mut out);
+        out
     }
 
     #[test]
@@ -305,11 +305,11 @@ mod tests {
         let mut a = tiny();
         a.install(CacheLine::clean(LineAddr::new(0), 0));
         assert!(a.write(LineAddr::new(0), 42, Some(tag(0, 3))));
-        assert_eq!(a.lines_of_epoch(tag(0, 3)), vec![LineAddr::new(0)]);
+        assert_eq!(lines(&a, tag(0, 3)), vec![LineAddr::new(0)]);
         // Re-write in a later epoch moves the index entry.
         assert!(a.write(LineAddr::new(0), 43, Some(tag(0, 4))));
-        assert!(a.lines_of_epoch(tag(0, 3)).is_empty());
-        assert_eq!(a.lines_of_epoch(tag(0, 4)), vec![LineAddr::new(0)]);
+        assert!(lines(&a, tag(0, 3)).is_empty());
+        assert_eq!(lines(&a, tag(0, 4)), vec![LineAddr::new(0)]);
         assert!(!a.write(LineAddr::new(9), 1, None), "miss returns false");
     }
 
@@ -318,7 +318,7 @@ mod tests {
         let mut a = tiny();
         a.install(CacheLine::dirty(LineAddr::new(0), 7, Some(tag(1, 1))));
         assert_eq!(a.mark_written_back(LineAddr::new(0)), Some(7));
-        assert!(a.lines_of_epoch(tag(1, 1)).is_empty());
+        assert!(lines(&a, tag(1, 1)).is_empty());
         let l = a.peek(LineAddr::new(0)).unwrap();
         assert_eq!(l.state, LineState::Clean);
         assert_eq!(l.value, 7);
@@ -331,7 +331,7 @@ mod tests {
         a.install(CacheLine::dirty(LineAddr::new(0), 7, Some(tag(1, 1))));
         let removed = a.remove(LineAddr::new(0)).unwrap();
         assert_eq!(removed.value, 7);
-        assert!(a.lines_of_epoch(tag(1, 1)).is_empty());
+        assert!(lines(&a, tag(1, 1)).is_empty());
         assert!(a.is_empty());
     }
 

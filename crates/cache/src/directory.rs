@@ -25,13 +25,6 @@ impl DirEntry {
         self.sharers == 0 && self.owner.is_none()
     }
 
-    /// Cores in the sharer mask.
-    pub fn sharer_list(&self) -> Vec<CoreId> {
-        let mut list = Vec::new();
-        self.sharers_into(&mut list);
-        list
-    }
-
     /// Appends the cores in the sharer mask to `out`, in core order.
     pub fn sharers_into(&self, out: &mut Vec<CoreId>) {
         let mut mask = self.sharers;
@@ -80,17 +73,8 @@ impl Directory {
         self.entries.get(&line).and_then(|e| e.owner)
     }
 
-    /// Sharers other than `requestor` that must be invalidated for an
-    /// exclusive request.
-    pub fn invalidation_targets(&self, line: LineAddr, requestor: CoreId) -> Vec<CoreId> {
-        let mut list = Vec::new();
-        self.invalidation_targets_into(line, requestor, &mut list);
-        list
-    }
-
-    /// Appends the invalidation targets to `out` (allocation-free variant
-    /// of [`Directory::invalidation_targets`] for hot-path callers with a
-    /// scratch buffer).
+    /// Appends the sharers other than `requestor` that must be invalidated
+    /// for an exclusive request to `out`, in core order.
     pub fn invalidation_targets_into(
         &self,
         line: LineAddr,
@@ -136,15 +120,8 @@ impl Directory {
         }
     }
 
-    /// Cores holding any copy (for inclusive-LLC eviction recalls).
-    pub fn holders(&self, line: LineAddr) -> Vec<CoreId> {
-        let mut list = Vec::new();
-        self.holders_into(line, &mut list);
-        list
-    }
-
-    /// Appends the cores holding any copy of `line` to `out`
-    /// (allocation-free variant of [`Directory::holders`]).
+    /// Appends the cores holding any copy of `line` to `out` (for
+    /// inclusive-LLC eviction recalls).
     pub fn holders_into(&self, line: LineAddr, out: &mut Vec<CoreId>) {
         let e = self.entry(line);
         let before = out.len();
@@ -175,12 +152,22 @@ mod tests {
         CoreId::new(i)
     }
 
+    /// Collects what an `_into` enumeration appends.
+    fn list(fill: impl FnOnce(&mut Vec<CoreId>)) -> Vec<CoreId> {
+        let mut out = Vec::new();
+        fill(&mut out);
+        out
+    }
+
     #[test]
     fn sharers_accumulate() {
         let mut d = Directory::new();
         d.add_sharer(LineAddr::new(1), c(0));
         d.add_sharer(LineAddr::new(1), c(3));
-        assert_eq!(d.entry(LineAddr::new(1)).sharer_list(), vec![c(0), c(3)]);
+        assert_eq!(
+            list(|o| d.entry(LineAddr::new(1)).sharers_into(o)),
+            vec![c(0), c(3)]
+        );
         assert_eq!(d.owner(LineAddr::new(1)), None);
     }
 
@@ -191,7 +178,10 @@ mod tests {
         d.add_sharer(LineAddr::new(1), c(1));
         d.set_owner(LineAddr::new(1), c(2));
         assert_eq!(d.owner(LineAddr::new(1)), Some(c(2)));
-        assert_eq!(d.entry(LineAddr::new(1)).sharer_list(), vec![c(2)]);
+        assert_eq!(
+            list(|o| d.entry(LineAddr::new(1)).sharers_into(o)),
+            vec![c(2)]
+        );
     }
 
     #[test]
@@ -201,7 +191,7 @@ mod tests {
         d.add_sharer(LineAddr::new(1), c(1));
         d.add_sharer(LineAddr::new(1), c(2));
         assert_eq!(
-            d.invalidation_targets(LineAddr::new(1), c(1)),
+            list(|o| d.invalidation_targets_into(LineAddr::new(1), c(1), o)),
             vec![c(0), c(2)]
         );
     }
@@ -212,7 +202,10 @@ mod tests {
         d.set_owner(LineAddr::new(1), c(5));
         d.downgrade_owner(LineAddr::new(1));
         assert_eq!(d.owner(LineAddr::new(1)), None);
-        assert_eq!(d.entry(LineAddr::new(1)).sharer_list(), vec![c(5)]);
+        assert_eq!(
+            list(|o| d.entry(LineAddr::new(1)).sharers_into(o)),
+            vec![c(5)]
+        );
     }
 
     #[test]
@@ -230,7 +223,7 @@ mod tests {
         // Manually craft owner not in sharers (post-downgrade edge).
         d.set_owner(LineAddr::new(1), c(2));
         d.add_sharer(LineAddr::new(1), c(0));
-        let mut h = d.holders(LineAddr::new(1));
+        let mut h = list(|o| d.holders_into(LineAddr::new(1), o));
         h.sort();
         assert_eq!(h, vec![c(0), c(2)]);
     }
@@ -239,7 +232,7 @@ mod tests {
     fn idle_entry_defaults() {
         let d = Directory::new();
         assert!(d.entry(LineAddr::new(9)).is_idle());
-        assert_eq!(d.holders(LineAddr::new(9)), vec![]);
+        assert_eq!(list(|o| d.holders_into(LineAddr::new(9), o)), vec![]);
         assert_eq!(d.len(), 0);
     }
 }

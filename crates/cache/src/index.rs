@@ -37,18 +37,9 @@ impl EpochIndex {
         }
     }
 
-    /// The lines currently attributed to `tag`, in address order.
-    pub fn lines(&self, tag: EpochTag) -> Vec<LineAddr> {
-        self.by_epoch
-            .get(&tag)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Appends the lines attributed to `tag` to `out`, in address order.
     /// Allocation-free when `out` has capacity — the flush hot path reuses
-    /// one scratch buffer across epochs instead of building a fresh `Vec`
-    /// per enumeration.
+    /// one scratch buffer across epochs.
     pub fn lines_into(&self, tag: EpochTag, out: &mut Vec<LineAddr>) {
         if let Some(set) = self.by_epoch.get(&tag) {
             out.extend(set.iter().copied());
@@ -75,6 +66,12 @@ mod tests {
         EpochTag::new(CoreId::new(c), EpochId::new(e))
     }
 
+    fn lines(ix: &EpochIndex, t: EpochTag) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        ix.lines_into(t, &mut out);
+        out
+    }
+
     #[test]
     fn add_remove_lines() {
         let mut ix = EpochIndex::new();
@@ -82,12 +79,12 @@ mod tests {
         ix.add(tag(0, 0), LineAddr::new(1));
         ix.add(tag(0, 1), LineAddr::new(9));
         assert_eq!(
-            ix.lines(tag(0, 0)),
+            lines(&ix, tag(0, 0)),
             vec![LineAddr::new(1), LineAddr::new(3)]
         );
         assert_eq!(ix.len(tag(0, 0)), 2);
         ix.remove(tag(0, 0), LineAddr::new(1));
-        assert_eq!(ix.lines(tag(0, 0)), vec![LineAddr::new(3)]);
+        assert_eq!(lines(&ix, tag(0, 0)), vec![LineAddr::new(3)]);
         ix.remove(tag(0, 0), LineAddr::new(3));
         assert!(ix.is_empty(tag(0, 0)));
         assert_eq!(ix.len(tag(0, 1)), 1);
@@ -107,7 +104,7 @@ mod tests {
         for n in [9u64, 2, 7, 1] {
             ix.add(tag(0, 0), LineAddr::new(n));
         }
-        let lines = ix.lines(tag(0, 0));
+        let lines = lines(&ix, tag(0, 0));
         let mut sorted = lines.clone();
         sorted.sort();
         assert_eq!(lines, sorted);

@@ -21,7 +21,9 @@
 //! let mut l1 = CacheArray::new(128, 4, 0); // 128 sets, 4-way, no bank shift
 //! let tag = EpochTag::new(CoreId::new(0), EpochId::new(0));
 //! l1.install(CacheLine::dirty(LineAddr::new(7), 42, Some(tag)));
-//! assert_eq!(l1.lines_of_epoch(tag), vec![LineAddr::new(7)]);
+//! let mut lines = Vec::new();
+//! l1.lines_of_epoch_into(tag, &mut lines);
+//! assert_eq!(lines, vec![LineAddr::new(7)]);
 //! assert!(matches!(l1.victim_for(LineAddr::new(7 + 128)), VictimChoice::Room));
 //! ```
 

@@ -171,12 +171,15 @@ proptest! {
             }
             // Global invariants after every step.
             prop_assert_eq!(array.len(), model.len());
+            let mut lines = Vec::new();
             for c in 0..2u32 {
                 for e in 0..3u64 {
                     let t = tag((c, e));
+                    lines.clear();
+                    array.lines_of_epoch_into(t, &mut lines);
                     prop_assert_eq!(
-                        array.lines_of_epoch(t),
-                        model.lines_of_epoch(t),
+                        &lines,
+                        &model.lines_of_epoch(t),
                         "epoch index diverged for {}",
                         t
                     );

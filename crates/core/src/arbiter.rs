@@ -1,493 +1,380 @@
-//! The per-core epoch arbiter (§4.1, §4.2).
-//!
-//! Sits in the L1 cache controller and orchestrates the multi-banked epoch
-//! flush handshake of Figure 8: ① flush the epoch's L1 lines and broadcast
-//! `FlushEpoch` to every LLC bank, ② banks flush their lines and collect
-//! `PersistAck`s, ③ banks return `BankAck`, ④ the arbiter broadcasts
-//! `PersistCMP`. Epochs of one core flush strictly in program order, one at
-//! a time; the arbiter additionally holds an epoch's flush until every IDT
-//! source epoch recorded for it has persisted (§4.2's dependence
-//! registers). The `PersistCMP` broadcast releases those registers at
-//! every other arbiter; the inform registers are only counted and freed
-//! on persist.
-//!
-//! The arbiter is a pure state machine: it consumes events (`bank_ack`,
-//! `dependence_satisfied`, flush requests) and emits [`ArbiterAction`]s.
-//! [`Protocol`](crate::Protocol) drives one arbiter per core and makes
-//! the cross-core decisions.
+//! One core's epoch arbiter (§4.1, §4.2): the per-core record that
+//! [`Protocol`](crate::Protocol) keeps for every core.
 
-use crate::epoch::EpochLedger;
-use crate::idt::{IdtOverflow, IdtRegisters};
+use crate::idt::IdtRegisters;
+use crate::protocol::Step;
 use crate::tally::Tally;
 use pbm_types::bug::{self, InjectedBug};
-use pbm_types::{CoreId, EpochId, EpochPhase, EpochTag, SystemConfig};
+use pbm_types::{EpochId, EpochTag, FlushReason, SystemConfig};
+use std::collections::VecDeque;
 
-/// What the timing layer must do on behalf of the arbiter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArbiterAction {
-    /// Begin the flush of this epoch: write back its L1 lines to the LLC
-    /// banks and broadcast `FlushEpoch` (step ① of Figure 8).
-    StartEpochFlush(EpochTag),
-    /// All banks acked: broadcast `PersistCMP` (step ④) so banks may
-    /// advance to the next epoch of this core, and every other arbiter
-    /// releases the dependence registers naming this epoch.
-    BroadcastPersistCmp(EpochTag),
-    /// Bookkeeping signal: this epoch is now durable (stats, ledger hooks,
-    /// unblocking of requests queued on the persist).
-    EpochPersisted(EpochTag),
-}
-
-/// Where the arbiter's flush pipeline currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlushPhase {
-    /// No flush in progress.
-    Idle,
-    /// The frontier epoch wants to flush but waits on IDT source epochs.
-    WaitingDeps(EpochId),
-    /// `FlushEpoch` broadcast; counting `BankAck`s.
-    AwaitingBankAcks(EpochId),
-}
-
-/// The per-core epoch arbiter: ledger + IDT registers + flush FSM.
+/// One core's arbiter, the state the paper keeps in each L1 controller:
+/// the epoch-id counter, the in-flight window, the `BankAck` count and
+/// the IDT registers. It runs the multi-banked flush handshake of
+/// Figure 8 — ① flush the epoch's L1 lines and broadcast `FlushEpoch`,
+/// ② banks flush theirs, ③ each bank returns a `BankAck`, ④ `PersistCMP`
+/// — for one epoch at a time, in program order, and holds an epoch's
+/// flush until every IDT source recorded for it has persisted.
+///
+/// Every fact is stored once. Below `frontier` every epoch has persisted,
+/// `current` is ongoing, the frontier is flushing while `acks` is set,
+/// and every epoch in between is completed. The flush goal is the last
+/// requested epoch, `frontier + reasons.len() − 1`, and the frontier
+/// waits on its dependences exactly when it is requested, not flushing,
+/// and its dependence registers are not clear.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EpochArbiter {
-    core: CoreId,
-    num_banks: usize,
-    ledger: EpochLedger,
-    idt: IdtRegisters,
-    phase: FlushPhase,
-    acks: usize,
-    /// Highest epoch id requested to flush (conflicts, PF, back-pressure,
-    /// drain). `None` = nothing requested.
-    goal: Option<EpochId>,
-    splits: Tally,
+pub(crate) struct Arbiter {
+    /// The ongoing epoch (the epoch-id counter).
+    current: EpochId,
+    /// The oldest epoch that has not persisted.
+    frontier: EpochId,
+    /// `BankAck`s counted for the frontier's flush; `None` while the
+    /// frontier is not flushing.
+    acks: Option<usize>,
+    /// Why each requested epoch is flushing: entry `k` is epoch
+    /// `frontier + k`. Requests always cover a run from the frontier, so
+    /// the ring is dense; it pops as the frontier persists.
+    reasons: VecDeque<FlushReason>,
+    /// The dependence and inform registers.
+    pub(crate) idt: IdtRegisters,
+    /// §3.3 splits performed.
+    pub(crate) splits: Tally,
 }
 
-impl EpochArbiter {
-    /// Creates the arbiter for `core` under `cfg`.
-    pub fn new(core: CoreId, cfg: &SystemConfig) -> Self {
-        EpochArbiter {
-            core,
-            num_banks: cfg.llc_banks,
-            ledger: EpochLedger::new(core),
+impl Arbiter {
+    /// An idle arbiter with epoch 0 ongoing.
+    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+        Arbiter {
+            current: EpochId::FIRST,
+            frontier: EpochId::FIRST,
+            acks: None,
+            reasons: VecDeque::with_capacity(cfg.inflight_epochs),
             idt: IdtRegisters::new(cfg.idt_pairs),
-            phase: FlushPhase::Idle,
-            acks: 0,
-            goal: None,
             splits: Tally::default(),
         }
     }
 
-    /// The core this arbiter serves.
-    pub fn core(&self) -> CoreId {
-        self.core
+    /// The ongoing epoch.
+    pub(crate) fn current(&self) -> EpochId {
+        self.current
     }
 
-    /// Read-only view of the epoch ledger.
-    pub fn ledger(&self) -> &EpochLedger {
-        &self.ledger
+    /// The oldest epoch that has not persisted.
+    pub(crate) fn frontier(&self) -> EpochId {
+        self.frontier
     }
 
-    /// Read-only view of the IDT registers.
-    pub fn idt(&self) -> &IdtRegisters {
-        &self.idt
+    /// Closes the ongoing epoch and opens the next; returns the closed one.
+    pub(crate) fn close(&mut self) -> EpochId {
+        let closed = self.current;
+        self.current = closed.next();
+        closed
     }
 
-    /// Current flush phase.
-    pub fn phase(&self) -> FlushPhase {
-        self.phase
+    /// Unpersisted epochs, the ongoing one included: what the 3-bit epoch
+    /// id must tell apart.
+    pub(crate) fn inflight(&self) -> usize {
+        (self.current.as_u64() - self.frontier.as_u64() + 1) as usize
     }
 
-    /// Retires a persist barrier: closes the ongoing epoch. Returns the
-    /// closed epoch's id. The caller is responsible for back-pressure
-    /// (checking [`EpochLedger::inflight`] first).
-    pub fn barrier(&mut self) -> EpochId {
-        self.ledger.close_current()
-    }
-
-    /// Splits the ongoing epoch for deadlock avoidance (§3.3): identical to
-    /// a barrier, but counted separately. Returns the completed first half.
-    pub fn split_current(&mut self) -> EpochId {
-        self.splits.bump();
-        self.ledger.close_current()
-    }
-
-    /// Number of deadlock-avoidance splits performed.
-    pub fn split_count(&self) -> u64 {
-        self.splits.get()
-    }
-
-    /// Requests that all epochs up to and including `epoch` be flushed.
-    /// Idempotent; the goal only ratchets upward. Call
-    /// [`Self::try_advance`] afterwards to collect actions.
+    /// Why the frontier epoch was requested.
     ///
     /// # Panics
     ///
-    /// Panics if `epoch` is the ongoing epoch or later — only completed
-    /// epochs can flush; conflicts with an ongoing epoch must first split
-    /// or close it.
-    pub fn request_flush_upto(&mut self, epoch: EpochId) {
+    /// Panics if nothing is requested.
+    pub(crate) fn frontier_reason(&self) -> FlushReason {
+        self.reasons[0]
+    }
+
+    /// Requests the flush of every epoch up to `tag.epoch`, which has not
+    /// persisted, attributing each newly requested epoch to `reason`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is the ongoing epoch: only completed epochs can
+    /// flush, so a dependence on an ongoing epoch must split it first.
+    pub(crate) fn request(&mut self, tag: EpochTag, reason: FlushReason, out: &mut Vec<Step>) {
         assert!(
-            epoch < self.ledger.current(),
-            "cannot flush ongoing epoch {epoch}"
+            tag.epoch < self.current,
+            "cannot flush ongoing epoch {}",
+            tag.epoch
         );
-        self.goal = Some(match self.goal {
-            Some(g) => g.max(epoch),
-            None => epoch,
-        });
-    }
-
-    /// Records an IDT dependence: local epoch `dependent` must wait for
-    /// remote `source`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdtOverflow`] (caller falls back to an online flush).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` belongs to this core — intra-thread ordering is
-    /// already enforced by in-order flushing.
-    pub fn add_dependence(
-        &mut self,
-        dependent: EpochId,
-        source: EpochTag,
-    ) -> Result<(), IdtOverflow> {
-        assert_ne!(source.core, self.core, "intra-core dependence is implicit");
-        self.idt.add_dependence(dependent, source)
-    }
-
-    /// Records an inform-register entry: when local `source` persists,
-    /// notify remote `dependent`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IdtOverflow`].
-    pub fn add_inform(&mut self, source: EpochId, dependent: EpochTag) -> Result<(), IdtOverflow> {
-        assert_ne!(dependent.core, self.core);
-        self.idt.add_inform(source, dependent)
-    }
-
-    /// A remote source epoch persisted; releases matching dependence
-    /// registers and resumes a stalled flush if possible.
-    pub fn dependence_satisfied(&mut self, source: EpochTag) -> Vec<ArbiterAction> {
-        self.release(source)
-            .map(ArbiterAction::StartEpochFlush)
-            .into_iter()
-            .collect()
-    }
-
-    /// [`Self::dependence_satisfied`] without the allocation: the epoch
-    /// whose flush starts, if any.
-    pub(crate) fn release(&mut self, source: EpochTag) -> Option<EpochTag> {
-        self.idt.satisfy(source);
-        self.advance()
-    }
-
-    /// A bank acknowledged the current epoch flush (step ③).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no flush is awaiting acks for `epoch` — a protocol bug.
-    pub fn bank_ack(&mut self, epoch: EpochId) -> Vec<ArbiterAction> {
-        let Some(tag) = self.ack(epoch) else {
-            return Vec::new();
-        };
-        let mut actions = vec![
-            ArbiterAction::BroadcastPersistCmp(tag),
-            ArbiterAction::EpochPersisted(tag),
-        ];
-        actions.extend(self.advance().map(ArbiterAction::StartEpochFlush));
-        actions
-    }
-
-    /// Counts one `BankAck`; on the last one the epoch persists (step ④)
-    /// and its tag is returned. Does not start the next flush: call
-    /// [`Self::advance`] for that.
-    pub(crate) fn ack(&mut self, epoch: EpochId) -> Option<EpochTag> {
-        let premature = bug::hit(InjectedBug::PrematureBankAck);
-        if premature && self.phase != FlushPhase::AwaitingBankAcks(epoch) {
-            // Stray late acks from a flush the bug already "completed".
-            return None;
-        }
-        assert_eq!(
-            self.phase,
-            FlushPhase::AwaitingBankAcks(epoch),
-            "unexpected BankAck for {epoch}"
-        );
-        self.acks += 1;
-        let needed = if premature { 1 } else { self.num_banks };
-        if self.acks < needed {
-            return None;
-        }
-        self.ledger.mark_persisted(epoch);
-        self.phase = FlushPhase::Idle;
-        self.acks = 0;
-        // The inform registers are freed; the PersistCMP broadcast is
-        // what releases the dependents (it also covers inform overflow).
-        self.idt.drain_inform(epoch);
-        Some(EpochTag::new(self.core, epoch))
-    }
-
-    /// Attempts to start (or resume) flushing toward the goal. Returns the
-    /// actions to execute; empty if nothing can proceed.
-    pub fn try_advance(&mut self) -> Vec<ArbiterAction> {
-        self.advance()
-            .map(ArbiterAction::StartEpochFlush)
-            .into_iter()
-            .collect()
-    }
-
-    /// [`Self::try_advance`] without the allocation: the epoch whose flush
-    /// starts, if any.
-    pub(crate) fn advance(&mut self) -> Option<EpochTag> {
-        if matches!(self.phase, FlushPhase::AwaitingBankAcks(_)) {
-            return None;
-        }
-        let Some(goal) = self.goal else {
-            self.phase = FlushPhase::Idle;
-            return None;
-        };
-        let Some(next) = self.ledger.first_unpersisted() else {
-            self.phase = FlushPhase::Idle;
-            self.goal = None;
-            return None;
-        };
-        if next > goal {
-            // Everything requested has persisted.
-            self.phase = FlushPhase::Idle;
-            self.goal = None;
-            return None;
-        }
-        match self.ledger.state(next) {
-            EpochPhase::Ongoing => {
-                // Goal points at (or beyond) the ongoing epoch; the caller
-                // violated request_flush_upto's contract.
-                unreachable!("flush goal {goal} reaches ongoing epoch {next}")
-            }
-            EpochPhase::Completed => {
-                if !self.idt.is_clear(next) {
-                    self.phase = FlushPhase::WaitingDeps(next);
-                    return None;
+        for (k, e) in (self.frontier.as_u64()..=tag.epoch.as_u64()).enumerate() {
+            match self.reasons.get_mut(k) {
+                None => {
+                    self.reasons.push_back(reason);
+                    out.push(Step::Requested(
+                        EpochTag::new(tag.core, EpochId::new(e)),
+                        reason,
+                    ));
                 }
-                self.ledger.begin_flush(next);
-                self.phase = FlushPhase::AwaitingBankAcks(next);
-                self.acks = 0;
-                Some(EpochTag::new(self.core, next))
-            }
-            EpochPhase::Flushing | EpochPhase::Persisted => {
-                unreachable!("frontier in impossible state")
+                // A conflict outranks any earlier attribution: if a
+                // request had to wait for this epoch, its persist was
+                // online no matter who started the flush (this is what
+                // Figure 12 counts).
+                Some(r) => {
+                    if reason == FlushReason::Conflict {
+                        *r = FlushReason::Conflict;
+                    }
+                }
             }
         }
     }
 
-    /// True if `epoch` of this core has fully persisted.
-    pub fn is_persisted(&self, epoch: EpochId) -> bool {
-        self.ledger.is_persisted(epoch)
+    /// The frontier, if its requested flush waits on IDT sources.
+    pub(crate) fn waiting_on(&self) -> Option<EpochId> {
+        let waiting =
+            self.acks.is_none() && !self.reasons.is_empty() && !self.idt.is_clear(self.frontier);
+        waiting.then_some(self.frontier)
+    }
+
+    /// Starts the frontier's flush if it is requested, no flush is under
+    /// way and its dependences are clear; returns the epoch that starts.
+    pub(crate) fn advance(&mut self) -> Option<EpochId> {
+        if self.acks.is_some() || self.reasons.is_empty() || !self.idt.is_clear(self.frontier) {
+            return None;
+        }
+        self.acks = Some(0);
+        Some(self.frontier)
+    }
+
+    /// Counts one `BankAck` for `epoch` (step ③). On the last of `banks`
+    /// the epoch persists: the frontier moves past it, its inform
+    /// registers are freed (the `PersistCMP` broadcast is what releases
+    /// the dependents, so inform overflow is harmless), and its flush
+    /// reason is returned. Does not start the next flush.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is not flushing.
+    pub(crate) fn ack(&mut self, epoch: EpochId, banks: usize) -> Option<FlushReason> {
+        let premature = bug::hit(InjectedBug::PrematureBankAck);
+        let Some(acks) = self.acks.filter(|_| self.frontier == epoch) else {
+            // Only the injected bug sends these: the late acks of a flush
+            // it already "completed".
+            assert!(premature, "unexpected BankAck for {epoch}");
+            return None;
+        };
+        let acks = acks + 1;
+        let needed = if premature { 1 } else { banks };
+        if acks < needed {
+            self.acks = Some(acks);
+            return None;
+        }
+        self.acks = None;
+        self.frontier = epoch.next();
+        self.idt.drain_inform(epoch);
+        Some(
+            self.reasons
+                .pop_front()
+                .expect("only requested epochs flush"),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Protocol;
+    use pbm_types::CoreId;
 
-    fn cfg() -> SystemConfig {
-        SystemConfig::small_test() // 4 banks
-    }
+    const BANKS: usize = 4;
 
-    fn arbiter() -> EpochArbiter {
-        EpochArbiter::new(CoreId::new(0), &cfg())
+    fn arbiter() -> Arbiter {
+        Arbiter::new(&SystemConfig::small_test()) // 4 IDT pairs
     }
 
     fn tag(c: u32, e: u64) -> EpochTag {
         EpochTag::new(CoreId::new(c), EpochId::new(e))
     }
 
+    /// Requests core 0's epochs up to `e` for `reason`.
+    fn request(a: &mut Arbiter, e: u64, reason: FlushReason) {
+        a.request(tag(0, e), reason, &mut Vec::new());
+    }
+
+    /// Delivers every bank's ack for `e`; returns the last one's result.
+    fn ack_all(a: &mut Arbiter, e: EpochId) -> Option<FlushReason> {
+        (0..BANKS).map(|_| a.ack(e, BANKS)).last().flatten()
+    }
+
     #[test]
     fn idle_until_requested() {
         let mut a = arbiter();
-        assert!(a.try_advance().is_empty());
-        assert_eq!(a.phase(), FlushPhase::Idle);
+        assert_eq!(
+            (a.current, a.frontier, a.inflight()),
+            (EpochId::FIRST, EpochId::FIRST, 1)
+        );
+        a.close();
+        assert_eq!(a.advance(), None);
+        assert_eq!(a.waiting_on(), None);
     }
 
     #[test]
     fn full_flush_handshake() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        a.request_flush_upto(e0);
-        let actions = a.try_advance();
-        assert_eq!(actions, vec![ArbiterAction::StartEpochFlush(tag(0, 0))]);
-        assert_eq!(a.phase(), FlushPhase::AwaitingBankAcks(e0));
-
+        let e0 = a.close();
+        let mut out = Vec::new();
+        a.request(tag(0, 0), FlushReason::Drain, &mut out);
+        assert_eq!(out, vec![Step::Requested(tag(0, 0), FlushReason::Drain)]);
+        assert_eq!(a.advance(), Some(e0));
+        assert_eq!(a.advance(), None, "one flush at a time");
         // 3 of 4 banks ack: nothing yet.
         for _ in 0..3 {
-            assert!(a.bank_ack(e0).is_empty());
+            assert_eq!(a.ack(e0, BANKS), None);
         }
-        let done = a.bank_ack(e0);
-        assert_eq!(
-            done,
-            vec![
-                ArbiterAction::BroadcastPersistCmp(tag(0, 0)),
-                ArbiterAction::EpochPersisted(tag(0, 0)),
-            ]
-        );
-        assert!(a.is_persisted(e0));
-        assert_eq!(a.phase(), FlushPhase::Idle);
+        assert_eq!(a.ack(e0, BANKS), Some(FlushReason::Drain));
+        assert_eq!(a.frontier, EpochId::new(1));
+        assert_eq!(a.inflight(), 1);
+        assert_eq!(a.advance(), None, "nothing else was requested");
     }
 
     #[test]
     fn sequential_epochs_chain_automatically() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        let e1 = a.barrier();
-        a.request_flush_upto(e1);
-        let first = a.try_advance();
-        assert_eq!(first, vec![ArbiterAction::StartEpochFlush(tag(0, 0))]);
-        for _ in 0..3 {
-            a.bank_ack(e0);
-        }
-        let chained = a.bank_ack(e0);
-        // Persist of e0 immediately starts the flush of e1.
-        assert!(chained.contains(&ArbiterAction::StartEpochFlush(tag(0, 1))));
-        assert_eq!(a.phase(), FlushPhase::AwaitingBankAcks(e1));
+        let e0 = a.close();
+        let e1 = a.close();
+        request(&mut a, 1, FlushReason::Drain);
+        assert_eq!(a.advance(), Some(e0));
+        assert_eq!(ack_all(&mut a, e0), Some(FlushReason::Drain));
+        // The persist of e0 lets e1 start.
+        assert_eq!(a.advance(), Some(e1));
     }
 
     #[test]
     fn dependence_stalls_flush_until_satisfied() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        a.add_dependence(e0, tag(1, 3)).unwrap();
-        a.request_flush_upto(e0);
-        assert!(a.try_advance().is_empty());
-        assert_eq!(a.phase(), FlushPhase::WaitingDeps(e0));
-        // Remote epoch persists: flush resumes.
-        let actions = a.dependence_satisfied(tag(1, 3));
-        assert_eq!(actions, vec![ArbiterAction::StartEpochFlush(tag(0, 0))]);
+        let e0 = a.close();
+        a.idt.add_dependence(e0, tag(1, 3)).unwrap();
+        request(&mut a, 0, FlushReason::Conflict);
+        assert_eq!(a.advance(), None);
+        assert_eq!(a.waiting_on(), Some(e0));
+        // The remote epoch persists: the flush resumes.
+        a.idt.satisfy(tag(1, 3));
+        assert_eq!(a.waiting_on(), None);
+        assert_eq!(a.advance(), Some(e0));
     }
 
     #[test]
     fn unrelated_satisfaction_does_not_start_flush() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        a.add_dependence(e0, tag(1, 3)).unwrap();
-        a.request_flush_upto(e0);
-        a.try_advance();
-        let actions = a.dependence_satisfied(tag(2, 9));
-        assert!(actions.is_empty());
-        assert_eq!(a.phase(), FlushPhase::WaitingDeps(e0));
+        let e0 = a.close();
+        a.idt.add_dependence(e0, tag(1, 3)).unwrap();
+        request(&mut a, 0, FlushReason::Conflict);
+        a.idt.satisfy(tag(2, 9));
+        assert_eq!(a.advance(), None);
+        assert_eq!(a.waiting_on(), Some(e0));
     }
 
     #[test]
     fn inform_registers_notify_dependents_on_persist() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        a.add_inform(e0, tag(2, 5)).unwrap();
-        assert_eq!(a.idt().recorded_count(), 1);
-        a.request_flush_upto(e0);
-        a.try_advance();
-        for _ in 0..3 {
-            a.bank_ack(e0);
-        }
+        let e0 = a.close();
+        a.idt.add_inform(e0, tag(2, 5)).unwrap();
+        assert_eq!(a.idt.recorded_count(), 1);
+        request(&mut a, 0, FlushReason::Drain);
+        a.advance();
         // The dependent learns of the persist from the PersistCMP
-        // broadcast, the same message every other arbiter sees...
-        let done = a.bank_ack(e0);
-        assert_eq!(
-            done,
-            vec![
-                ArbiterAction::BroadcastPersistCmp(tag(0, 0)),
-                ArbiterAction::EpochPersisted(tag(0, 0)),
-            ]
-        );
-        // ...and the persist frees the epoch's inform registers.
-        assert!(a.idt().clone().drain_inform(e0).is_empty());
+        // broadcast; the persist frees the epoch's inform registers.
+        assert_eq!(ack_all(&mut a, e0), Some(FlushReason::Drain));
+        assert!(a.idt.clone().drain_inform(e0).is_empty());
     }
 
     #[test]
     fn goal_ratchets_upward() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        let e1 = a.barrier();
-        a.request_flush_upto(e1);
-        a.request_flush_upto(e0); // lower request must not shrink the goal
-        a.try_advance();
-        for _ in 0..4 {
-            a.bank_ack(e0);
-        }
-        assert_eq!(a.phase(), FlushPhase::AwaitingBankAcks(e1));
+        let e0 = a.close();
+        let e1 = a.close();
+        request(&mut a, 1, FlushReason::Drain);
+        // A lower request must not shrink the goal, but a conflict
+        // upgrades the attribution.
+        request(&mut a, 0, FlushReason::Conflict);
+        a.advance();
+        assert_eq!(ack_all(&mut a, e0), Some(FlushReason::Conflict));
+        assert_eq!(a.advance(), Some(e1));
+        assert_eq!(ack_all(&mut a, e1), Some(FlushReason::Drain));
     }
 
     #[test]
     fn inform_overflow_falls_back_to_broadcast_release() {
         // The source core's inform registers fill up, so one dependent
         // can never be notified point-to-point...
-        let mut source = EpochArbiter::new(CoreId::new(1), &cfg()); // 4 pairs
-        let e = source.barrier();
+        let mut source = arbiter();
+        let e = source.close();
         for c in 2..6 {
-            source.add_inform(e, tag(c, 0)).unwrap();
+            source.idt.add_inform(e, tag(c, 0)).unwrap();
         }
-        assert!(source.add_inform(e, tag(6, 0)).is_err());
-        assert_eq!(source.idt().overflow_count(), 1);
+        assert!(source.idt.add_inform(e, tag(6, 0)).is_err());
+        assert_eq!(source.idt.overflow_count(), 1);
 
         // ...but the dependent recorded the dependence on its own side,
-        // and the PersistCmp *broadcast* (dependence_satisfied at every
-        // arbiter) releases it without an inform entry.
-        let mut dependent = EpochArbiter::new(CoreId::new(6), &cfg());
-        let d0 = dependent.barrier();
-        let src_tag = EpochTag::new(CoreId::new(1), e);
-        dependent.add_dependence(d0, src_tag).unwrap();
-        dependent.request_flush_upto(d0);
-        assert!(
-            dependent.try_advance().is_empty(),
-            "flush stalls on the unsatisfied dependence"
-        );
-        let actions = dependent.dependence_satisfied(src_tag);
-        assert_eq!(
-            actions,
-            vec![ArbiterAction::StartEpochFlush(tag(6, 0))],
-            "broadcast release resumes the stalled flush"
-        );
+        // and the PersistCMP broadcast releases it without an inform
+        // entry.
+        let mut dependent = arbiter();
+        let d0 = dependent.close();
+        let src = tag(1, e.as_u64());
+        dependent.idt.add_dependence(d0, src).unwrap();
+        dependent.request(tag(6, 0), FlushReason::Conflict, &mut Vec::new());
+        assert_eq!(dependent.advance(), None, "stalls on the dependence");
+        dependent.idt.satisfy(src);
+        assert_eq!(dependent.advance(), Some(d0), "the broadcast resumes it");
     }
 
     #[test]
     fn split_counts_separately() {
-        let mut a = arbiter();
-        let e = a.split_current();
-        assert_eq!(e, EpochId::new(0));
-        assert_eq!(a.split_count(), 1);
-        assert_eq!(a.ledger().current(), EpochId::new(1));
+        let mut cfg = SystemConfig::small_test();
+        cfg.barrier = pbm_types::BarrierKind::LbIdt;
+        let mut p = Protocol::new(&cfg);
+        p.conflict(CoreId::new(1), tag(0, 0), &mut Vec::new());
+        let mut stats = pbm_types::SimStats::default();
+        p.add_counts(&mut stats);
+        assert_eq!(stats.deadlock_splits, 1);
+        assert_eq!(stats.epochs_created, 1, "the split closed epoch 0");
+        assert_eq!(p.current_tag(CoreId::new(0)), tag(0, 1));
     }
 
     #[test]
     #[should_panic(expected = "ongoing")]
     fn flushing_ongoing_epoch_panics() {
         let mut a = arbiter();
-        let cur = a.ledger().current();
-        a.request_flush_upto(cur);
+        request(&mut a, 0, FlushReason::Drain);
     }
 
     #[test]
     #[should_panic(expected = "unexpected BankAck")]
     fn stray_bank_ack_panics() {
         let mut a = arbiter();
-        let e0 = a.barrier();
-        a.bank_ack(e0);
+        let e0 = a.close();
+        a.ack(e0, BANKS);
     }
 
     #[test]
     #[should_panic(expected = "intra-core")]
     fn intra_core_dependence_panics() {
-        let mut a = arbiter();
-        let e0 = a.barrier();
-        let _ = a.add_dependence(e0, tag(0, 5));
+        let mut p = Protocol::new(&SystemConfig::small_test());
+        p.conflict(CoreId::new(0), tag(0, 0), &mut Vec::new());
     }
 
     #[test]
     fn overflow_surfaces_to_caller() {
         let mut a = arbiter();
-        let e0 = a.barrier();
+        let e0 = a.close();
         for c in 1..=4 {
-            a.add_dependence(e0, tag(c, 0)).unwrap();
+            a.idt.add_dependence(e0, tag(c, 0)).unwrap();
         }
-        assert!(a.add_dependence(e0, tag(5, 0)).is_err());
+        assert!(a.idt.add_dependence(e0, tag(5, 0)).is_err());
+    }
+
+    #[test]
+    fn inflight_grows_until_persisted() {
+        let mut a = arbiter();
+        for _ in 0..7 {
+            a.close();
+        }
+        assert_eq!(a.inflight(), 8);
+        request(&mut a, 0, FlushReason::Drain);
+        a.advance();
+        ack_all(&mut a, EpochId::FIRST);
+        assert_eq!(a.inflight(), 7);
     }
 }

@@ -186,6 +186,31 @@ mod tests {
         EpochTag::new(CoreId::new(c), EpochId::new(e))
     }
 
+    /// Reproduces Figure 5: two threads with a circular read pattern. With
+    /// the §3.3 split rule the dependence graph stays acyclic.
+    #[test]
+    fn figure5_cycle_is_broken_by_splitting() {
+        // T1's Ld A hits T0's ongoing epoch Ei: §3.3 says split Ei into
+        // Ei1 (completed, the source) and Ei2 (ongoing remainder).
+        let (ei1, ei2, ej) = (tag(0, 0), tag(0, 1), tag(1, 0));
+        let mut hb = HbGraph::new();
+        hb.add_program_order(ei1, ei2);
+        hb.add_dependence(ei1, ej); // Ej depends on Ei1
+
+        // T0's Ld X then hits T1's ongoing epoch Ej: the inverse
+        // dependence now lands on T0's *remainder* epoch Ei2, not Ei1.
+        hb.add_dependence(ej, ei2);
+
+        assert!(hb.is_acyclic(), "splitting must break the Figure 5 cycle");
+
+        // Without splitting, the same two dependences form a cycle.
+        let ei = tag(0, 0);
+        let mut naive = HbGraph::new();
+        naive.add_dependence(ei, ej);
+        naive.add_dependence(ej, ei);
+        assert!(!naive.is_acyclic());
+    }
+
     #[test]
     fn chain_is_acyclic() {
         let mut hb = HbGraph::new();

@@ -136,17 +136,6 @@ impl IdtRegisters {
         self.inform.remove(&e).unwrap_or_default()
     }
 
-    /// When an ongoing epoch is split (§3.3), its recorded registers stay
-    /// with the completed first half (`from`); nothing moves. However any
-    /// *future* conflicts belong to the new id. This helper exists so the
-    /// arbiter can assert the invariant.
-    pub fn assert_no_registers_above(&self, e: EpochId) {
-        debug_assert!(
-            self.dependence.keys().all(|k| *k <= e) && self.inform.keys().all(|k| *k <= e),
-            "registers recorded for epochs beyond {e}"
-        );
-    }
-
     /// Dependences successfully recorded (both kinds).
     pub fn recorded_count(&self) -> u64 {
         self.recorded.get()

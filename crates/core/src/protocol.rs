@@ -1,22 +1,22 @@
-//! The cross-core flush protocol: every decision that involves more than
-//! one core's arbiter (§3.3, §4.1, §4.2).
+//! The cross-core flush protocol (§3.3, §4.1, §4.2).
 //!
-//! [`Protocol`] owns one [`EpochArbiter`] per core plus the reason each
-//! pending flush was requested. Its entry points are the events the
-//! hardware reacts to — a barrier, an inter-thread conflict, a blocked
-//! request, a `BankAck`, the final drain — and each one pushes the
-//! resulting [`Step`]s into a caller-owned buffer, in the order the
-//! hardware performs them. The timing layer (`pbm-sim`) executes the
+//! [`Protocol`] holds, per core, the arbiter record the paper puts in
+//! each L1 controller (`arbiter.rs`: the epoch-id counter, the persisted
+//! frontier, the `BankAck` count of the flush in progress, the requested
+//! flushes with their reasons, and the IDT registers) and makes every
+//! decision, including the ones that span cores. Its entry points are
+//! the events the hardware reacts to — a barrier, an inter-thread
+//! conflict, a blocked request, a `BankAck`, the final drain — and each
+//! one pushes the resulting [`Step`]s into a caller-owned buffer, in the
+//! order the hardware performs them. The timing layer (`pbm-sim`) executes the
 //! steps; it makes no protocol decision of its own, so the simulator and
 //! the exhaustive explorer in `tests/protocol_explore.rs` run the same
 //! code.
 
-use crate::arbiter::{EpochArbiter, FlushPhase};
-use crate::deadlock::{split_decision, SplitDecision};
+use crate::arbiter::Arbiter;
 use crate::persistency::BarrierSemantics;
 use pbm_types::bug::{self, InjectedBug};
-use pbm_types::{CoreId, EpochId, EpochTag, FlushReason, SystemConfig};
-use std::collections::VecDeque;
+use pbm_types::{CoreId, EpochId, EpochTag, FlushReason, SimStats, SystemConfig};
 
 /// One unit of work the protocol hands to the timing layer, in the order
 /// it must happen. Steps carry everything they need: the timing layer
@@ -63,15 +63,13 @@ pub enum Barrier {
     WindowFull(EpochTag),
 }
 
-/// The multi-core flush protocol: one [`EpochArbiter`] per core, the
-/// pending flush reasons, and the decisions that span cores.
+/// The multi-core flush protocol: one arbiter per core and the decisions
+/// that span cores.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Protocol {
-    arbiters: Vec<EpochArbiter>,
-    /// Per core, why each requested epoch is flushing: entry `k` is
-    /// epoch `frontier + k`. Requests always cover a run from the
-    /// frontier, so the ring is dense; it pops as the frontier persists.
-    reasons: Vec<VecDeque<FlushReason>>,
+    cores: Vec<Arbiter>,
+    /// `BankAck`s that complete a flush: one per LLC bank.
+    banks: usize,
     /// The barrier records IDT dependences instead of flushing online.
     idt: bool,
     /// Proactive flushing: completed epochs start persisting at once.
@@ -87,12 +85,8 @@ impl Protocol {
     /// 0 ongoing.
     pub fn new(cfg: &SystemConfig) -> Self {
         Protocol {
-            arbiters: (0..cfg.cores)
-                .map(|i| EpochArbiter::new(CoreId::new(i as u32), cfg))
-                .collect(),
-            reasons: (0..cfg.cores)
-                .map(|_| VecDeque::with_capacity(cfg.inflight_epochs))
-                .collect(),
+            cores: (0..cfg.cores).map(|_| Arbiter::new(cfg)).collect(),
+            banks: cfg.llc_banks,
             idt: cfg.barrier.has_idt(),
             pf: cfg.barrier.has_pf(),
             barrier_stalls: BarrierSemantics::for_model(cfg.persistency, cfg.bsp_epoch_size)
@@ -101,33 +95,47 @@ impl Protocol {
         }
     }
 
-    /// Every core's arbiter, in core order.
-    pub fn arbiters(&self) -> &[EpochArbiter] {
-        &self.arbiters
-    }
-
     /// True if `tag`'s epoch has fully persisted.
     pub fn is_persisted(&self, tag: EpochTag) -> bool {
-        self.arbiters[tag.core.index()].is_persisted(tag.epoch)
+        tag.epoch < self.cores[tag.core.index()].frontier()
     }
 
     /// The ongoing epoch of `core`.
     pub fn current_tag(&self, core: CoreId) -> EpochTag {
-        self.arbiters[core.index()].ledger().current_tag()
+        EpochTag::new(core, self.cores[core.index()].current())
+    }
+
+    /// For wedge diagnostics: `core`'s ongoing epoch, its oldest
+    /// unpersisted epoch, and the IDT sources that epoch's requested flush
+    /// waits on.
+    pub fn diagnostics(&self, core: CoreId) -> (EpochId, EpochId, &[EpochTag]) {
+        let arb = &self.cores[core.index()];
+        let sources = arb.waiting_on().map_or(&[][..], |e| arb.idt.sources_of(e));
+        (arb.current(), arb.frontier(), sources)
+    }
+
+    /// Adds every core's counts to `stats`: §3.3 splits, IDT dependences
+    /// recorded and overflowed, and epochs created.
+    pub fn add_counts(&self, stats: &mut SimStats) {
+        for arb in &self.cores {
+            stats.deadlock_splits += arb.splits.get();
+            stats.idt_recorded += arb.idt.recorded_count();
+            stats.idt_overflows += arb.idt.overflow_count();
+            stats.epochs_created += arb.current().as_u64();
+        }
     }
 
     /// A persist barrier retires on `core`. Applies back-pressure when the
     /// epoch-id window is full; otherwise closes the ongoing epoch and,
     /// under EP or PF, requests its flush.
     pub fn barrier(&mut self, core: CoreId, out: &mut Vec<Step>) -> Barrier {
-        let ledger = self.arbiters[core.index()].ledger();
-        if ledger.inflight() >= self.window {
-            let frontier = ledger.first_unpersisted().expect("window full");
-            let tag = EpochTag::new(core, frontier);
+        let arb = &mut self.cores[core.index()];
+        if arb.inflight() >= self.window {
+            let tag = EpochTag::new(core, arb.frontier());
             self.request(tag, FlushReason::BackPressure, out);
             return Barrier::WindowFull(tag);
         }
-        let closed = EpochTag::new(core, self.arbiters[core.index()].barrier());
+        let closed = EpochTag::new(core, arb.close());
         out.push(Step::Closed(closed));
         if self.barrier_stalls {
             self.request(closed, FlushReason::Barrier, out);
@@ -143,8 +151,13 @@ impl Protocol {
     /// barrier has them. Returns `true` if the request may proceed;
     /// `false` means `source`'s flush was requested and the requestor
     /// must wait for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is on `requestor` (in-order flushing already
+    /// orders a core's own epochs) or has persisted.
     pub fn conflict(&mut self, requestor: CoreId, source: EpochTag, out: &mut Vec<Step>) -> bool {
-        debug_assert_ne!(source.core, requestor);
+        assert_ne!(source.core, requestor, "intra-core dependence is implicit");
         self.ensure_flushable(source, out);
         let dependent = self.current_tag(requestor);
         out.push(Step::Conflict(source, dependent));
@@ -154,7 +167,8 @@ impl Protocol {
             // so the unenforced ordering shows up at some crash cycle.
             let dropped = bug::hit(InjectedBug::DropIdtEdge);
             if dropped
-                || self.arbiters[requestor.index()]
+                || self.cores[requestor.index()]
+                    .idt
                     .add_dependence(dependent.epoch, source)
                     .is_ok()
             {
@@ -163,7 +177,9 @@ impl Protocol {
                     // Inform-register side; its overflow is tolerable
                     // because the PersistCMP broadcast releases every
                     // dependent.
-                    let _ = self.arbiters[source.core.index()].add_inform(source.epoch, dependent);
+                    let _ = self.cores[source.core.index()]
+                        .idt
+                        .add_inform(source.epoch, dependent);
                 }
                 return true;
             }
@@ -188,24 +204,24 @@ impl Protocol {
     /// flush.
     pub fn bank_ack(&mut self, core: CoreId, epoch: EpochId, out: &mut Vec<Step>) {
         let i = core.index();
-        if let Some(tag) = self.arbiters[i].ack(epoch) {
+        if let Some(reason) = self.cores[i].ack(epoch, self.banks) {
+            let tag = EpochTag::new(core, epoch);
             // The arbiter moves on before the broadcast, so a release that
             // demands more of this core finds its next flush under way.
-            let next = self.arbiters[i].advance();
+            let next = self.cores[i].advance();
             out.push(Step::PersistCmp(tag));
-            let reason = self.reasons[i].pop_front().unwrap_or(FlushReason::Drain);
             out.push(Step::Persisted(tag, reason));
             // The PersistCMP broadcast: the one path that releases the
             // dependence registers naming this epoch, everywhere.
-            for j in 0..self.arbiters.len() {
-                if j != i {
-                    let started = self.arbiters[j].release(tag);
-                    self.start(started, out);
-                    self.propagate(CoreId::new(j as u32), out);
-                }
+            for j in (0..self.cores.len()).filter(|&j| j != i) {
+                let other = CoreId::new(j as u32);
+                self.cores[j].idt.satisfy(tag);
+                let started = self.cores[j].advance();
+                self.start(other, started, out);
+                self.propagate(other, out);
             }
             out.push(Step::Wake(tag));
-            self.start(next, out);
+            self.start(core, next, out);
         }
         // The next epoch of this core may have stalled on IDT sources;
         // make sure those sources are asked to flush.
@@ -215,29 +231,45 @@ impl Protocol {
     /// The run is over on `core`: close its ongoing epoch if `close_current`
     /// (it dirtied lines), then request every completed epoch's flush.
     pub fn drain(&mut self, core: CoreId, close_current: bool, out: &mut Vec<Step>) {
-        let i = core.index();
+        let arb = &mut self.cores[core.index()];
         if close_current {
-            let closed = self.arbiters[i].barrier();
-            out.push(Step::Closed(EpochTag::new(core, closed)));
+            out.push(Step::Closed(EpochTag::new(core, arb.close())));
         }
-        if let Some(last) = self.arbiters[i].ledger().current().prev() {
+        if let Some(last) = arb.current().prev() {
             self.request(EpochTag::new(core, last), FlushReason::Drain, out);
         }
     }
 
-    /// §3.3: if `tag` names an ongoing epoch, split it so the completed
-    /// first half (which keeps the id) can flush. Under PF the first half
-    /// starts persisting at once, like any completed epoch.
+    /// §3.3, epoch-deadlock avoidance. A circular dependence between
+    /// epochs (Figure 5) can only arise when a dependence lands on an
+    /// epoch that is still *ongoing* (its closing barrier has not
+    /// retired): a completed epoch has no pending memory operations, so it
+    /// can never acquire an inverse dependence. So when `tag` names the
+    /// ongoing epoch, split it at the current point: the completed first
+    /// half keeps the id and becomes the flushable source, and the
+    /// remainder continues as a fresh epoch, which rules out any cycle.
+    /// Under PF the first half starts persisting at once, like any
+    /// completed epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` has persisted: a persisted epoch's lines carry no
+    /// tag, so no conflict can name it.
     fn ensure_flushable(&mut self, tag: EpochTag, out: &mut Vec<Step>) {
         if bug::hit(InjectedBug::SkipDeadlockSplit) {
             // Injected bug: leave the epoch unsplit. Flush requests then
-            // name an ongoing epoch, which the arbiter rejects (panic), or
+            // name an ongoing epoch, which `request` rejects (panic), or
             // the run wedges; either way the harness flags it.
             return;
         }
-        let arbiter = &mut self.arbiters[tag.core.index()];
-        if split_decision(arbiter.ledger().state(tag.epoch)) == SplitDecision::SplitSource {
-            arbiter.split_current();
+        let arb = &mut self.cores[tag.core.index()];
+        assert!(
+            tag.epoch >= arb.frontier(),
+            "dependence on persisted {tag}: its lines cannot be tagged"
+        );
+        if tag.epoch == arb.current() {
+            arb.splits.bump();
+            arb.close();
             out.push(Step::Split(tag));
             if self.pf {
                 self.request(tag, FlushReason::Proactive, out);
@@ -250,74 +282,40 @@ impl Protocol {
     /// arbiter (and, transitively, every IDT source it waits on) as far as
     /// it can go.
     fn request(&mut self, tag: EpochTag, reason: FlushReason, out: &mut Vec<Step>) {
-        let i = tag.core.index();
-        let Some(frontier) = self.arbiters[i].ledger().first_unpersisted() else {
-            return;
-        };
-        if tag.epoch < frontier {
+        let arb = &mut self.cores[tag.core.index()];
+        if tag.epoch < arb.frontier() {
             return; // already durable
         }
-        for (k, e) in (frontier.as_u64()..=tag.epoch.as_u64()).enumerate() {
-            match self.reasons[i].get_mut(k) {
-                None => {
-                    self.reasons[i].push_back(reason);
-                    out.push(Step::Requested(
-                        EpochTag::new(tag.core, EpochId::new(e)),
-                        reason,
-                    ));
-                }
-                // A conflict outranks any earlier attribution: if a
-                // request had to wait for this epoch, its persist was
-                // online no matter who started the flush (this is what
-                // Figure 12 counts).
-                Some(r) => {
-                    if reason == FlushReason::Conflict {
-                        *r = FlushReason::Conflict;
-                    }
-                }
-            }
-        }
-        self.arbiters[i].request_flush_upto(tag.epoch);
-        let started = self.arbiters[i].advance();
-        self.start(started, out);
+        arb.request(tag, reason, out);
+        let started = arb.advance();
+        self.start(tag.core, started, out);
         self.propagate(tag.core, out);
     }
 
-    /// Pushes the flush of `started` (if any) with its reason as it
-    /// stands now.
-    fn start(&mut self, started: Option<EpochTag>, out: &mut Vec<Step>) {
-        if let Some(tag) = started {
-            let reason = self.reason(tag).unwrap_or(FlushReason::Drain);
-            out.push(Step::Flush(tag, reason));
+    /// Pushes the flush of `core`'s `started` epoch (if any) with its
+    /// reason as it stands now.
+    fn start(&mut self, core: CoreId, started: Option<EpochId>, out: &mut Vec<Step>) {
+        if let Some(epoch) = started {
+            let reason = self.cores[core.index()].frontier_reason();
+            out.push(Step::Flush(EpochTag::new(core, epoch), reason));
         }
     }
 
-    /// Why `tag`'s epoch was requested, if it was.
-    fn reason(&self, tag: EpochTag) -> Option<FlushReason> {
-        let frontier = self.arbiters[tag.core.index()]
-            .ledger()
-            .first_unpersisted()?;
-        let k = tag.epoch.as_u64().checked_sub(frontier.as_u64())?;
-        self.reasons[tag.core.index()].get(k as usize).copied()
-    }
-
-    /// If `core`'s arbiter is stalled on IDT source epochs, demands that
+    /// If `core`'s frontier is stalled on IDT source epochs, demands that
     /// those sources flush too (transitively). Without this, a reactively
     /// flushed configuration (LB+IDT) could wait forever on a source
     /// nobody ever asked to flush.
     fn propagate(&mut self, core: CoreId, out: &mut Vec<Step>) {
-        let i = core.index();
-        let FlushPhase::WaitingDeps(e) = self.arbiters[i].phase() else {
+        let arb = &self.cores[core.index()];
+        let Some(e) = arb.waiting_on() else {
             return;
         };
-        let reason = self
-            .reason(EpochTag::new(core, e))
-            .unwrap_or(FlushReason::Conflict);
+        let reason = arb.frontier_reason();
         // Indexed, not borrowed: the requests below re-enter `request`.
         // The source list cannot change meanwhile, since only a persist
         // (a `BankAck`) releases a register and only a conflict adds one.
         let mut k = 0;
-        while let Some(&source) = self.arbiters[i].idt().sources_of(e).get(k) {
+        while let Some(&source) = self.cores[core.index()].idt.sources_of(e).get(k) {
             self.request(source, reason, out);
             k += 1;
         }
@@ -359,6 +357,90 @@ mod tests {
             ]
         );
         assert_eq!(p.current_tag(CoreId::new(0)), tag(0, 1));
+        let mut stats = SimStats::default();
+        p.add_counts(&mut stats);
+        assert_eq!(stats.deadlock_splits, 1);
+        assert_eq!(stats.idt_recorded, 2, "a dependence and an inform entry");
+        assert_eq!(stats.epochs_created, 1);
+    }
+
+    #[test]
+    fn a_lazy_barrier_only_closes_the_epoch() {
+        let mut p = protocol(BarrierKind::Lb);
+        let mut out = Vec::new();
+        let c = CoreId::new(0);
+        assert_eq!(p.current_tag(c), tag(0, 0));
+        assert!(!p.is_persisted(tag(0, 0)));
+        assert_eq!(p.barrier(c, &mut out), Barrier::Closed(EpochId::new(0)));
+        assert_eq!(out, vec![Step::Closed(tag(0, 0))], "no flush requested");
+        assert_eq!(p.current_tag(c), tag(0, 1));
+        assert_eq!(
+            p.diagnostics(c),
+            (EpochId::new(1), EpochId::new(0), &[][..])
+        );
+    }
+
+    #[test]
+    fn a_persist_chains_into_the_next_requested_flush() {
+        let mut p = protocol(BarrierKind::Lb);
+        let mut out = Vec::new();
+        let c = CoreId::new(0);
+        p.barrier(c, &mut out);
+        p.barrier(c, &mut out);
+        out.clear();
+        p.drain(c, false, &mut out);
+        // A lower request does not shrink the goal.
+        p.block_on(tag(0, 0), FlushReason::Eviction, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                Step::Requested(tag(0, 0), FlushReason::Drain),
+                Step::Requested(tag(0, 1), FlushReason::Drain),
+                Step::Flush(tag(0, 0), FlushReason::Drain),
+            ]
+        );
+        out.clear();
+        for _ in 0..3 {
+            p.bank_ack(c, EpochId::new(0), &mut out);
+        }
+        assert!(out.is_empty(), "three of four banks acked");
+        p.bank_ack(c, EpochId::new(0), &mut out);
+        assert_eq!(
+            out,
+            vec![
+                Step::PersistCmp(tag(0, 0)),
+                Step::Persisted(tag(0, 0), FlushReason::Drain),
+                Step::Wake(tag(0, 0)),
+                Step::Flush(tag(0, 1), FlushReason::Drain),
+            ]
+        );
+        assert!(p.is_persisted(tag(0, 0)));
+    }
+
+    #[test]
+    fn a_waiting_flush_reports_its_sources() {
+        let mut p = protocol(BarrierKind::LbIdt);
+        let mut out = Vec::new();
+        let c1 = CoreId::new(1);
+        p.barrier(CoreId::new(0), &mut out);
+        assert!(p.conflict(c1, tag(0, 0), &mut out));
+        p.barrier(c1, &mut out);
+        p.block_on(tag(1, 0), FlushReason::Eviction, &mut out);
+        assert_eq!(
+            p.diagnostics(c1),
+            (EpochId::new(1), EpochId::new(0), &[tag(0, 0)][..])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be tagged")]
+    fn a_dependence_on_a_persisted_epoch_panics() {
+        let mut p = protocol(BarrierKind::Lb);
+        let mut out = Vec::new();
+        p.barrier(CoreId::new(0), &mut out);
+        p.block_on(tag(0, 0), FlushReason::Eviction, &mut out);
+        ack_all(&mut p, tag(0, 0), &mut out);
+        p.conflict(CoreId::new(1), tag(0, 0), &mut out);
     }
 
     #[test]

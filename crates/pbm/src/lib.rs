@@ -60,7 +60,7 @@ pub use pbm_workloads as workloads;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use pbm_core::{BarrierSemantics, EpochArbiter};
+    pub use pbm_core::{BarrierSemantics, Protocol};
     pub use pbm_nvram::DurableSnapshot;
     pub use pbm_sim::{Op, Program, ProgramBuilder, System, VOLATILE_BASE};
     pub use pbm_types::{

@@ -179,7 +179,12 @@ impl System {
             l1s,
             banks,
             protocol: Protocol::new(&cfg),
-            steps: Vec::new(),
+            // Room for a typical protocol call's steps. Allocating it here
+            // also matters to set-up time: once freed, this small buffer
+            // stays cached by the allocator above the cache arrays, so
+            // dropping a `System` does not trim the heap and the next
+            // `System::new` need not fault those pages back in.
+            steps: Vec::with_capacity(16),
             locks: HashMap::new(),
             waiters: HashMap::new(),
             flush_started: HashMap::new(),
@@ -437,20 +442,14 @@ impl System {
     fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for (i, (c, arb)) in self.cores.iter().zip(self.protocol.arbiters()).enumerate() {
+        for (i, c) in self.cores.iter().enumerate() {
+            let (current, frontier, deps) = self.protocol.diagnostics(CoreId::new(i as u32));
             let _ = writeln!(
                 s,
-                "C{i}: pc={}/{} stalled={:?} phase={:?} current={} frontier={:?} deps={:?}",
+                "C{i}: pc={}/{} stalled={:?} current={current} frontier={frontier} deps={deps:?}",
                 c.pc,
                 c.program.len(),
                 c.stalled,
-                arb.phase(),
-                arb.ledger().current(),
-                arb.ledger().first_unpersisted(),
-                match arb.phase() {
-                    pbm_core::FlushPhase::WaitingDeps(e) => arb.idt().sources_of(e).to_vec(),
-                    _ => Vec::new(),
-                },
             );
         }
         let _ = writeln!(s, "waiters: {:?}", self.waiters.keys().collect::<Vec<_>>());
@@ -485,12 +484,7 @@ impl System {
             .unwrap_or(0);
         self.stats.noc_messages = self.mesh.message_count();
         self.stats.noc_flits = self.mesh.flit_count();
-        for arb in self.protocol.arbiters() {
-            self.stats.deadlock_splits += arb.split_count();
-            self.stats.idt_recorded += arb.idt().recorded_count();
-            self.stats.idt_overflows += arb.idt().overflow_count();
-            self.stats.epochs_created += arb.ledger().completed_count();
-        }
+        self.protocol.add_counts(&mut self.stats);
     }
 
     /// Durable NVRAM state restricted to the persistent region, at `at`.

@@ -1,4 +1,4 @@
-//! System configuration (Table 1 of the paper) and its builder.
+//! System configuration (Table 1 of the paper).
 
 use crate::error::ConfigError;
 use crate::kinds::{BarrierKind, FlushMode, PersistencyKind};
@@ -7,31 +7,29 @@ use serde::{Deserialize, Serialize};
 /// Full configuration of the simulated multicore, mirroring Table 1 of the
 /// paper plus the persistency-machinery knobs from §4.3 and §5.2.
 ///
-/// Construct with [`SystemConfig::micro48`] for the paper's exact setup, or
-/// with [`SystemConfig::builder`] / [`ConfigBuilder`] to vary parameters.
-/// A `SystemConfig` is always internally consistent: it can only be obtained
-/// through the validating builder or the checked presets.
+/// Start from [`SystemConfig::micro48`] (the paper's exact setup) or
+/// [`SystemConfig::small_test`], assign the fields to vary, and check the
+/// result with [`SystemConfig::validate`]. The fields are public, so a
+/// config is only known to be consistent once it has been validated;
+/// `pbm_sim::System::new` validates every config it is given.
 ///
 /// # Example
 ///
 /// ```
 /// use pbm_types::{BarrierKind, SystemConfig};
 ///
-/// let cfg = SystemConfig::builder()
-///     .cores(8)
-///     .barrier(BarrierKind::LbPp)
-///     .build()?;
-/// assert_eq!(cfg.cores, 8);
-/// assert_eq!(cfg.llc_banks, 8); // one bank tile per core by default
+/// let mut cfg = SystemConfig::micro48();
+/// cfg.cores = 8;
+/// cfg.llc_banks = 8; // one bank tile per core
+/// cfg.barrier = BarrierKind::LbPp;
+/// let cfg = cfg.validate()?;
+/// assert_eq!(cfg.mesh_cols(), 2); // 8 tiles over 4 rows
 /// # Ok::<(), pbm_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Number of cores (1 thread per core). Paper: 32.
     pub cores: usize,
-    /// Reorder-buffer size; bounds outstanding memory operations per core.
-    /// Paper: 192.
-    pub rob_size: usize,
     /// Store (write) buffer entries per core. Paper: 32.
     pub write_buffer: usize,
     /// L1 data cache size in bytes. Paper: 32 KiB.
@@ -91,11 +89,10 @@ impl SystemConfig {
     /// 360/240-cycle NVRAM write/read.
     ///
     /// Defaults to the LB++ barrier enforcing BEP with non-invalidating
-    /// flushes; override via the fields or start from [`Self::builder`].
+    /// flushes; override via the fields.
     pub fn micro48() -> Self {
         SystemConfig {
             cores: 32,
-            rob_size: 192,
             write_buffer: 32,
             l1_size: 32 * 1024,
             l1_assoc: 4,
@@ -136,11 +133,6 @@ impl SystemConfig {
         cfg
     }
 
-    /// Starts building a configuration from the [`Self::micro48`] defaults.
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::new()
-    }
-
     /// Number of cache sets in each L1.
     pub fn l1_sets(&self) -> usize {
         (self.l1_size / (crate::LINE_SIZE * self.l1_assoc as u64)) as usize
@@ -179,7 +171,6 @@ impl SystemConfig {
         nonzero(self.llc_assoc as u64, "llc associativity")?;
         nonzero(self.inflight_epochs as u64, "in-flight epochs")?;
         nonzero(self.write_buffer as u64, "write buffer")?;
-        nonzero(self.rob_size as u64, "rob size")?;
         nonzero(self.bsp_epoch_size, "bsp epoch size")?;
         nonzero(self.mc_parallelism as u64, "mc parallelism")?;
         nonzero(self.flit_bytes, "flit bytes")?;
@@ -233,128 +224,6 @@ impl Default for SystemConfig {
     }
 }
 
-/// Builder for [`SystemConfig`], starting from the paper's Table 1 values.
-///
-/// All setters take and return `&mut self` (non-consuming builder);
-/// [`ConfigBuilder::build`] validates and produces the config.
-#[derive(Debug, Clone)]
-pub struct ConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl ConfigBuilder {
-    /// Creates a builder seeded with [`SystemConfig::micro48`].
-    pub fn new() -> Self {
-        ConfigBuilder {
-            cfg: SystemConfig::micro48(),
-        }
-    }
-
-    /// Sets the core count and, by default, one LLC bank per core.
-    pub fn cores(&mut self, cores: usize) -> &mut Self {
-        self.cfg.cores = cores;
-        self.cfg.llc_banks = cores;
-        self.cfg.mesh_rows = self.cfg.mesh_rows.min(cores.max(1));
-        self
-    }
-
-    /// Sets the LLC bank count independently of the core count.
-    pub fn llc_banks(&mut self, banks: usize) -> &mut Self {
-        self.cfg.llc_banks = banks;
-        self
-    }
-
-    /// Sets the memory-controller count.
-    pub fn mcs(&mut self, mcs: usize) -> &mut Self {
-        self.cfg.mcs = mcs;
-        self
-    }
-
-    /// Sets L1 size (bytes) and associativity.
-    pub fn l1(&mut self, size: u64, assoc: usize) -> &mut Self {
-        self.cfg.l1_size = size;
-        self.cfg.l1_assoc = assoc;
-        self
-    }
-
-    /// Sets per-bank LLC size (bytes) and associativity.
-    pub fn llc(&mut self, size: u64, assoc: usize) -> &mut Self {
-        self.cfg.llc_bank_size = size;
-        self.cfg.llc_assoc = assoc;
-        self
-    }
-
-    /// Sets NVRAM write/read latencies (cycles).
-    pub fn nvram_latency(&mut self, write: u64, read: u64) -> &mut Self {
-        self.cfg.nvram_write_latency = write;
-        self.cfg.nvram_read_latency = read;
-        self
-    }
-
-    /// Selects the persist-barrier implementation.
-    pub fn barrier(&mut self, kind: BarrierKind) -> &mut Self {
-        self.cfg.barrier = kind;
-        self
-    }
-
-    /// Selects the persistency model.
-    pub fn persistency(&mut self, kind: PersistencyKind) -> &mut Self {
-        self.cfg.persistency = kind;
-        self
-    }
-
-    /// Selects the flush mode (`clflush` vs `clwb`).
-    pub fn flush_mode(&mut self, mode: FlushMode) -> &mut Self {
-        self.cfg.flush_mode = mode;
-        self
-    }
-
-    /// Sets the BSP bulk-mode epoch size in dynamic stores.
-    pub fn bsp_epoch_size(&mut self, stores: u64) -> &mut Self {
-        self.cfg.bsp_epoch_size = stores;
-        self
-    }
-
-    /// Enables or disables BSP undo logging (LB++NOLOG when `false`).
-    pub fn logging(&mut self, enabled: bool) -> &mut Self {
-        self.cfg.logging = enabled;
-        self
-    }
-
-    /// Sets the in-flight epoch limit per core.
-    pub fn inflight_epochs(&mut self, n: usize) -> &mut Self {
-        self.cfg.inflight_epochs = n;
-        self
-    }
-
-    /// Sets the IDT register pairs per epoch.
-    pub fn idt_pairs(&mut self, n: usize) -> &mut Self {
-        self.cfg.idt_pairs = n;
-        self
-    }
-
-    /// Sets the mesh row count.
-    pub fn mesh_rows(&mut self, rows: usize) -> &mut Self {
-        self.cfg.mesh_rows = rows;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`SystemConfig::validate`].
-    pub fn build(&self) -> Result<SystemConfig, ConfigError> {
-        self.cfg.clone().validate()
-    }
-}
-
-impl Default for ConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +232,6 @@ mod tests {
     fn micro48_matches_table1() {
         let c = SystemConfig::micro48().validate().expect("valid preset");
         assert_eq!(c.cores, 32);
-        assert_eq!(c.rob_size, 192);
         assert_eq!(c.write_buffer, 32);
         assert_eq!(c.l1_size, 32 * 1024);
         assert_eq!(c.l1_assoc, 4);
@@ -391,12 +259,6 @@ mod tests {
     #[test]
     fn small_test_is_valid() {
         SystemConfig::small_test().validate().expect("valid");
-    }
-
-    #[test]
-    fn builder_scales_banks_with_cores() {
-        let c = SystemConfig::builder().cores(8).build().unwrap();
-        assert_eq!(c.llc_banks, 8);
     }
 
     #[test]
@@ -443,37 +305,5 @@ mod tests {
         assert!(c.clone().validate().is_ok());
         c.llc_banks = 128; // 4x32 = 128 slots, fits exactly
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn builder_setters_apply() {
-        let c = SystemConfig::builder()
-            .cores(4)
-            .mcs(2)
-            .l1(8 * 1024, 2)
-            .llc(64 * 1024, 8)
-            .nvram_latency(100, 50)
-            .barrier(BarrierKind::Lb)
-            .persistency(PersistencyKind::BufferedStrictBulk)
-            .flush_mode(FlushMode::Invalidating)
-            .bsp_epoch_size(300)
-            .logging(false)
-            .inflight_epochs(4)
-            .idt_pairs(2)
-            .mesh_rows(2)
-            .build()
-            .unwrap();
-        assert_eq!(c.mcs, 2);
-        assert_eq!(c.l1_size, 8 * 1024);
-        assert_eq!(c.llc_assoc, 8);
-        assert_eq!(c.nvram_write_latency, 100);
-        assert_eq!(c.barrier, BarrierKind::Lb);
-        assert_eq!(c.persistency, PersistencyKind::BufferedStrictBulk);
-        assert_eq!(c.flush_mode, FlushMode::Invalidating);
-        assert_eq!(c.bsp_epoch_size, 300);
-        assert!(!c.logging);
-        assert_eq!(c.inflight_epochs, 4);
-        assert_eq!(c.idt_pairs, 2);
-        assert_eq!(c.mesh_rows, 2);
     }
 }

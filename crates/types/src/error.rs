@@ -5,8 +5,9 @@ use std::fmt;
 
 /// An invalid [`SystemConfig`](crate::SystemConfig) was requested.
 ///
-/// Returned by [`ConfigBuilder::build`](crate::ConfigBuilder::build); every
-/// variant names the offending parameter so the message is actionable.
+/// Returned by [`SystemConfig::validate`](crate::SystemConfig::validate);
+/// every variant names the offending parameter so the message is
+/// actionable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A count parameter (cores, banks, controllers, ...) was zero.

@@ -5,15 +5,14 @@ use pbm::prelude::*;
 use pbm::workloads::micro::{self, MicroParams};
 
 fn micro_cfg(barrier: BarrierKind) -> SystemConfig {
-    let mut cfg = SystemConfig::builder()
-        .cores(8)
-        .mesh_rows(2)
-        .barrier(barrier)
-        .persistency(PersistencyKind::BufferedEpoch)
-        .build()
-        .expect("valid");
+    let mut cfg = SystemConfig::micro48();
+    cfg.cores = 8;
+    cfg.llc_banks = 8; // one bank tile per core
+    cfg.mesh_rows = 2;
+    cfg.barrier = barrier;
+    cfg.persistency = PersistencyKind::BufferedEpoch;
     cfg.mcs = 4;
-    cfg
+    cfg.validate().expect("valid")
 }
 
 fn micro_params() -> MicroParams {
