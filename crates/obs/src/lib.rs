@@ -128,6 +128,11 @@ impl Observer {
         }
     }
 
+    /// The cycle the attached sampler's next sample falls due at.
+    pub fn next_sample_at(&self) -> Option<Cycle> {
+        self.sampler.as_ref().map(Sampler::next_at)
+    }
+
     /// Records one event. Cheap no-op when disabled, but prefer guarding
     /// with [`Observer::is_enabled`] to skip event construction entirely.
     #[inline]

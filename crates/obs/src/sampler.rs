@@ -38,6 +38,11 @@ impl Sampler {
         now.as_u64() >= self.next_at
     }
 
+    /// The cycle the next sample falls due at.
+    pub fn next_at(&self) -> Cycle {
+        Cycle::new(self.next_at)
+    }
+
     /// Stores `sample` and advances the deadline past `sample.cycle`.
     pub fn push(&mut self, sample: MetricSample) {
         let now = sample.cycle.as_u64();

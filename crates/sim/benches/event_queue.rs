@@ -41,7 +41,7 @@ fn churn_wheel(n: usize, steps: usize) -> u64 {
     }
     let mut acc = 0u64;
     for _ in 0..steps {
-        let (t, ev) = q.pop().expect("queue stays full");
+        let (t, _, ev) = q.pop().expect("queue stays full");
         acc = acc.wrapping_add(t.as_u64());
         q.schedule(t + lcg.next_delta(), ev);
     }
@@ -59,7 +59,7 @@ fn churn_heap(n: usize, steps: usize) -> u64 {
     }
     let mut acc = 0u64;
     for _ in 0..steps {
-        let (t, ev) = q.pop().expect("queue stays full");
+        let (t, _, ev) = q.pop().expect("queue stays full");
         acc = acc.wrapping_add(t.as_u64());
         q.schedule(t + lcg.next_delta(), ev);
     }

@@ -1,22 +1,29 @@
 //! The discrete event queue.
 //!
 //! Two implementations share one contract — events dequeue in ascending
-//! `(cycle, insertion sequence)` order:
+//! `(cycle, key)` order, and entries with equal cycle and key in insertion
+//! order:
 //!
 //! * [`EventQueue`] — the production queue: a bucketed timing wheel
 //!   (calendar queue) indexed by cycle delta from the queue's time floor,
-//!   FIFO within a bucket, with a binary-heap fallback for events beyond
-//!   the wheel horizon. Schedule and pop are O(1) on the hot path
+//!   each bucket sorted by key, with a binary-heap fallback for events
+//!   beyond the wheel horizon. Schedule and pop are O(1) on the hot path
 //!   (bounded event horizons are the common case in this simulator: L1 /
 //!   LLC / mesh / NVRAM latencies are all small constants).
 //! * [`HeapEventQueue`] — the log-n reference implementation (a plain
 //!   `BinaryHeap`), kept as the property-test oracle and the baseline leg
 //!   of the `event_queue` Criterion bench.
 //!
-//! Ties at the same cycle break strictly by insertion sequence — the
-//! [`Event`] payload deliberately has **no** `Ord` implementation, so a
-//! future enum-variant reorder can never silently change the simulation's
-//! event order.
+//! [`EventQueue::schedule`] gives the `n`-th such call the key `2n + 1`,
+//! so plain schedules pop in insertion order at each cycle. The even keys
+//! between them are free for [`EventQueue::schedule_keyed`]: key `2n`
+//! sorts after the first `n` plain schedules and before every later one.
+//! The simulator uses them to slot a lock retry in where a spinning core
+//! would have scheduled it (see `System`'s lock spinning).
+//!
+//! Ties never consult the [`Event`] payload — it deliberately has **no**
+//! `Ord` implementation, so a future enum-variant reorder can never
+//! silently change the simulation's event order.
 
 use pbm_types::{BankId, CoreId, Cycle, EpochId};
 use std::cmp::{Ordering, Reverse};
@@ -30,20 +37,25 @@ pub enum Event {
     /// A `BankAck` for `(core, epoch)` from the given bank arrived at the
     /// core's arbiter.
     BankAck(CoreId, EpochId, BankId),
+    /// Retry the lock of the earliest pending woken spinner. Woken retries
+    /// can share a cycle and key, so the system, not the payload, keeps
+    /// which core goes first.
+    LockRetry,
 }
 
-/// A queue entry. Total order is `(at, seq)` — `seq` is unique per queue,
-/// so the order is total without ever consulting the event payload.
+/// A heap entry. Total order is `(at, key, seq)` — `seq` is unique per
+/// queue, so the order is total without ever consulting the event payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Scheduled {
     at: Cycle,
+    key: u64,
     seq: u64,
     event: Event,
 }
 
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (self.at, self.key, self.seq).cmp(&(other.at, other.key, other.seq))
     }
 }
 
@@ -61,15 +73,14 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// Time-ordered event queue: a bucketed timing wheel over
 /// `WHEEL_SLOTS` (4096) cycles with a heap fallback for far-future events.
-/// Ties break by insertion sequence, making the simulation fully
+/// Ties break by key, then insertion order, making the simulation fully
 /// deterministic; pop order is identical to [`HeapEventQueue`].
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `wheel[c % WHEEL_SLOTS]` holds the events of cycle `c` for every
-    /// `c` in `[floor, floor + WHEEL_SLOTS)`, in insertion order. The
-    /// window is exactly one wheel revolution, so each bucket holds at
-    /// most one distinct cycle and FIFO order within a bucket *is*
-    /// sequence order.
+    /// `wheel[c % WHEEL_SLOTS]` holds the `(key, event)`s of cycle `c` for
+    /// every `c` in `[floor, floor + WHEEL_SLOTS)`, sorted by key, equal
+    /// keys in insertion order. The window is exactly one wheel
+    /// revolution, so each bucket holds at most one distinct cycle.
     wheel: Vec<VecDeque<(u64, Event)>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
@@ -79,7 +90,10 @@ pub struct EventQueue {
     /// Monotonic lower bound: the cycle of the last popped event.
     floor: u64,
     len: usize,
+    /// Entries ever inserted (orders equal keys in the overflow heap).
     seq: u64,
+    /// [`EventQueue::schedule`] calls so far.
+    plain: u64,
 }
 
 impl Default for EventQueue {
@@ -91,6 +105,7 @@ impl Default for EventQueue {
             floor: 0,
             len: 0,
             seq: 0,
+            plain: 0,
         }
     }
 }
@@ -101,54 +116,81 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedules `event` at time `at`.
+    /// Schedules `event` at time `at` with the next odd key,
+    /// `2 * plain() + 1`.
     pub fn schedule(&mut self, at: Cycle, event: Event) {
+        let key = 2 * self.plain + 1;
+        self.plain += 1;
+        self.schedule_keyed(at, key, event);
+    }
+
+    /// Schedules `event` at time `at` with the given key: after every entry
+    /// at `at` with a key up to `key`, before those with a larger one.
+    pub fn schedule_keyed(&mut self, at: Cycle, key: u64, event: Event) {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
         let t = at.as_u64();
         if t >= self.floor && t - self.floor < WHEEL_SLOTS as u64 {
             let b = (t % WHEEL_SLOTS as u64) as usize;
-            self.wheel[b].push_back((seq, event));
+            let bucket = &mut self.wheel[b];
+            if bucket.back().is_none_or(|&(k, _)| k <= key) {
+                bucket.push_back((key, event));
+            } else {
+                let i = bucket.partition_point(|&(k, _)| k <= key);
+                bucket.insert(i, (key, event));
+            }
             self.occupied[b / 64] |= 1 << (b % 64);
         } else {
-            self.overflow.push(Reverse(Scheduled { at, seq, event }));
+            self.overflow.push(Reverse(Scheduled {
+                at,
+                key,
+                seq,
+                event,
+            }));
         }
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycle, Event)> {
+    /// Number of [`EventQueue::schedule`] calls so far: the next one gets
+    /// key `2 * plain() + 1`.
+    pub fn plain(&self) -> u64 {
+        self.plain
+    }
+
+    /// Removes and returns the earliest event with its cycle and key.
+    pub fn pop(&mut self) -> Option<(Cycle, u64, Event)> {
         let wheel_bucket = self.next_occupied();
         let wheel_cycle = wheel_bucket.map(|b| self.bucket_cycle(b));
-        let overflow_key = self.overflow.peek().map(|Reverse(s)| (s.at, s.seq));
+        let overflow_key = self.overflow.peek().map(|Reverse(s)| (s.at, s.key));
         let take_overflow = match (overflow_key, wheel_cycle) {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some((oat, oseq)), Some(wat)) => {
-                // At equal cycles the smaller sequence wins; a bucket's
-                // front entry is its minimum sequence (FIFO insertion).
-                let wseq = self.wheel[wheel_bucket.expect("occupied")]
+            (Some(over), Some(wat)) => {
+                // A bucket's front entry is its minimum key. At equal
+                // cycle and key the overflow entry was inserted first: the
+                // cycle was beyond the horizon then and inside it later.
+                let wkey = self.wheel[wheel_bucket.expect("occupied")]
                     .front()
                     .expect("occupied bucket non-empty")
                     .0;
-                (oat, oseq) < (wat, wseq)
+                over <= (wat, wkey)
             }
         };
         self.len -= 1;
         if take_overflow {
             let Reverse(s) = self.overflow.pop().expect("peeked");
             self.floor = self.floor.max(s.at.as_u64());
-            return Some((s.at, s.event));
+            return Some((s.at, s.key, s.event));
         }
         let b = wheel_bucket.expect("wheel path");
         let at = wheel_cycle.expect("wheel path");
-        let (_, event) = self.wheel[b].pop_front().expect("occupied bucket");
+        let (key, event) = self.wheel[b].pop_front().expect("occupied bucket");
         if self.wheel[b].is_empty() {
             self.occupied[b / 64] &= !(1 << (b % 64));
         }
         self.floor = at.as_u64();
-        Some((at, event))
+        Some((at, key, event))
     }
 
     /// Number of pending events.
@@ -205,6 +247,7 @@ impl EventQueue {
 pub struct HeapEventQueue {
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
+    plain: u64,
 }
 
 impl HeapEventQueue {
@@ -213,19 +256,27 @@ impl HeapEventQueue {
         Self::default()
     }
 
-    /// Schedules `event` at time `at`.
+    /// Schedules `event` at time `at` with the next odd key.
     pub fn schedule(&mut self, at: Cycle, event: Event) {
+        let key = 2 * self.plain + 1;
+        self.plain += 1;
+        self.schedule_keyed(at, key, event);
+    }
+
+    /// Schedules `event` at time `at` with the given key.
+    pub fn schedule_keyed(&mut self, at: Cycle, key: u64, event: Event) {
         self.heap.push(Reverse(Scheduled {
             at,
+            key,
             seq: self.seq,
             event,
         }));
         self.seq += 1;
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycle, Event)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
+    /// Removes and returns the earliest event with its cycle and key.
+    pub fn pop(&mut self) -> Option<(Cycle, u64, Event)> {
+        self.heap.pop().map(|Reverse(s)| (s.at, s.key, s.event))
     }
 
     /// Number of pending events.
@@ -243,6 +294,11 @@ impl HeapEventQueue {
 mod tests {
     use super::*;
 
+    /// Pops `(cycle, event)`, dropping the key.
+    fn pop(q: &mut EventQueue) -> Option<(Cycle, Event)> {
+        q.pop().map(|(at, _, event)| (at, event))
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -253,16 +309,22 @@ mod tests {
             Event::BankAck(CoreId::new(2), EpochId::new(0), BankId::new(3)),
         );
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((Cycle::new(5), Event::Step(CoreId::new(1)))));
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
+            Some((Cycle::new(5), Event::Step(CoreId::new(1))))
+        );
+        assert_eq!(
+            pop(&mut q),
             Some((
                 Cycle::new(7),
                 Event::BankAck(CoreId::new(2), EpochId::new(0), BankId::new(3))
             ))
         );
-        assert_eq!(q.pop(), Some((Cycle::new(10), Event::Step(CoreId::new(0)))));
-        assert!(q.pop().is_none());
+        assert_eq!(
+            pop(&mut q),
+            Some((Cycle::new(10), Event::Step(CoreId::new(0))))
+        );
+        assert!(pop(&mut q).is_none());
         assert!(q.is_empty());
     }
 
@@ -271,8 +333,14 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(Cycle::new(5), Event::Step(CoreId::new(0)));
         q.schedule(Cycle::new(5), Event::Step(CoreId::new(1)));
-        assert_eq!(q.pop(), Some((Cycle::new(5), Event::Step(CoreId::new(0)))));
-        assert_eq!(q.pop(), Some((Cycle::new(5), Event::Step(CoreId::new(1)))));
+        assert_eq!(
+            pop(&mut q),
+            Some((Cycle::new(5), Event::Step(CoreId::new(0))))
+        );
+        assert_eq!(
+            pop(&mut q),
+            Some((Cycle::new(5), Event::Step(CoreId::new(1))))
+        );
     }
 
     #[test]
@@ -283,20 +351,23 @@ mod tests {
         q.schedule(Cycle::new(2), Event::Step(CoreId::new(1)));
         q.schedule(Cycle::new(far), Event::Step(CoreId::new(2)));
         q.schedule(Cycle::new(far + 1), Event::Step(CoreId::new(3)));
-        assert_eq!(q.pop(), Some((Cycle::new(2), Event::Step(CoreId::new(1)))));
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
+            Some((Cycle::new(2), Event::Step(CoreId::new(1))))
+        );
+        assert_eq!(
+            pop(&mut q),
             Some((Cycle::new(far), Event::Step(CoreId::new(0))))
         );
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
             Some((Cycle::new(far), Event::Step(CoreId::new(2))))
         );
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
             Some((Cycle::new(far + 1), Event::Step(CoreId::new(3))))
         );
-        assert!(q.pop().is_none());
+        assert!(pop(&mut q).is_none());
     }
 
     #[test]
@@ -310,17 +381,17 @@ mod tests {
         q.schedule(Cycle::new(target), Event::Step(CoreId::new(0))); // heap
         q.schedule(Cycle::new(200), Event::Step(CoreId::new(1)));
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
             Some((Cycle::new(200), Event::Step(CoreId::new(1))))
         );
         // floor = 200; target is now within the horizon.
         q.schedule(Cycle::new(target), Event::Step(CoreId::new(2))); // wheel
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
             Some((Cycle::new(target), Event::Step(CoreId::new(0))))
         );
         assert_eq!(
-            q.pop(),
+            pop(&mut q),
             Some((Cycle::new(target), Event::Step(CoreId::new(2))))
         );
     }
@@ -337,7 +408,7 @@ mod tests {
         expect.sort();
         for (at, core) in expect {
             assert_eq!(
-                q.pop(),
+                pop(&mut q),
                 Some((Cycle::new(at), Event::Step(CoreId::new(core))))
             );
         }
@@ -345,33 +416,80 @@ mod tests {
     }
 
     #[test]
+    fn keyed_entries_slot_between_plain_ones() {
+        let mut q = EventQueue::new();
+        let at = Cycle::new(9);
+        q.schedule(at, Event::Step(CoreId::new(0))); // key 1
+        q.schedule(at, Event::Step(CoreId::new(1))); // key 3
+        q.schedule_keyed(at, 2, Event::LockRetry);
+        q.schedule_keyed(at, 2, Event::Step(CoreId::new(2)));
+        q.schedule_keyed(at, 0, Event::Step(CoreId::new(3)));
+        q.schedule(at, Event::Step(CoreId::new(4))); // key 5
+        assert_eq!(q.plain(), 3);
+        let keys: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            keys,
+            [
+                (at, 0, Event::Step(CoreId::new(3))),
+                (at, 1, Event::Step(CoreId::new(0))),
+                (at, 2, Event::LockRetry),
+                (at, 2, Event::Step(CoreId::new(2))),
+                (at, 3, Event::Step(CoreId::new(1))),
+                (at, 5, Event::Step(CoreId::new(4))),
+            ]
+        );
+    }
+
+    #[test]
     fn matches_heap_reference_on_a_mixed_stream() {
+        // Plain schedules, keyed ones (at the current cycle, tying with or
+        // falling between existing keys), far-future ones past the wheel
+        // horizon, and pops, from a deterministic LCG stream.
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        let mut x: u64 = 0x243F_6A88_85A3_08D3; // deterministic LCG stream
+        let mut x: u64 = 0x243F_6A88_85A3_08D3;
         let mut now = 0u64;
-        for step in 0..20_000u32 {
+        for step in 0..40_000u32 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            if !x.is_multiple_of(3) {
-                // Mostly near-future, occasionally far beyond the horizon.
-                let delta = if x.is_multiple_of(61) {
-                    (x >> 32) % 100_000
-                } else {
-                    (x >> 32) % 600
-                };
-                let ev = Event::Step(CoreId::new(step % 48));
-                wheel.schedule(Cycle::new(now + delta), ev);
-                heap.schedule(Cycle::new(now + delta), ev);
+            let r = x >> 32;
+            // Mostly near-future, occasionally far beyond the horizon.
+            let delta = if r.is_multiple_of(61) {
+                r % 100_000
             } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "diverged at step {step}");
-                if let Some((t, _)) = a {
-                    now = t.as_u64();
+                r % 600
+            };
+            let ev = Event::Step(CoreId::new(step % 48));
+            match (x >> 20) % 6 {
+                0 | 1 => {
+                    wheel.schedule(Cycle::new(now + delta), ev);
+                    heap.schedule(Cycle::new(now + delta), ev);
+                }
+                2 | 3 => {
+                    // An even key at or below the next plain key, often at
+                    // the current cycle or a shared small delta: ties with
+                    // earlier keyed entries and slots between plain ones.
+                    let at = Cycle::new(now + if r.is_multiple_of(2) { 0 } else { delta % 8 });
+                    let key = 2 * (wheel.plain() - (r >> 8) % (wheel.plain() + 1).min(6));
+                    let at = if r.is_multiple_of(97) {
+                        Cycle::new(now + WHEEL_SLOTS as u64 + delta)
+                    } else {
+                        at
+                    };
+                    wheel.schedule_keyed(at, key, ev);
+                    heap.schedule_keyed(at, key, ev);
+                }
+                _ => {
+                    let a = wheel.pop();
+                    let b = heap.pop();
+                    assert_eq!(a, b, "diverged at step {step}");
+                    if let Some((t, _, _)) = a {
+                        now = t.as_u64();
+                    }
                 }
             }
+            assert_eq!(wheel.len(), heap.len());
         }
         loop {
             let a = wheel.pop();

@@ -39,6 +39,7 @@
 mod access;
 mod event;
 mod flush;
+mod lock;
 mod op;
 mod perturb;
 mod system;

@@ -31,7 +31,11 @@ pub enum Op {
     /// Local computation for the given number of cycles.
     Compute(u32),
     /// Acquire a spin lock at `addr` (architecturally atomic; the line is
-    /// in the volatile region by convention).
+    /// in the volatile region by convention). A core that finds it held
+    /// retries every `30 + 7c mod 50` cycles (core `c`) until a retry
+    /// comes after the release. The simulator parks the core between
+    /// retries and schedules only the retry that follows the unlock, with
+    /// the timing the polling would have had.
     Lock(Addr),
     /// Release the lock at `addr`.
     Unlock(Addr),

@@ -1,6 +1,7 @@
 //! The simulated system: construction, the event loop, and core stepping.
 
 use crate::event::{Event, EventQueue};
+use crate::lock::Locks;
 use crate::op::{Op, Program};
 use pbm_cache::CacheArray;
 use pbm_core::recovery::ConsistencyChecker;
@@ -108,8 +109,8 @@ pub struct System {
     pub(crate) protocol: Protocol,
     /// The protocol's step buffer, reused by every call.
     pub(crate) steps: Vec<Step>,
-    /// Architecturally-atomic spin locks: line -> holder.
-    pub(crate) locks: HashMap<LineAddr, CoreId>,
+    /// Architecturally-atomic spin locks and the cores spinning on them.
+    pub(crate) locks: Locks,
     /// Cores parked until the given epoch persists.
     pub(crate) waiters: HashMap<EpochTag, Vec<CoreId>>,
     /// Flush start time per in-flight epoch (for the latency histogram).
@@ -117,6 +118,8 @@ pub struct System {
     /// BSP: cycle by which an epoch's undo-log records are durable.
     pub(crate) log_ready: HashMap<EpochTag, Cycle>,
     pub(crate) queue: EventQueue,
+    /// Events popped from the queue so far.
+    pub(crate) events: u64,
     pub(crate) scratch: Scratch,
     pub(crate) now: Cycle,
     pub(crate) token_seq: u64,
@@ -185,11 +188,12 @@ impl System {
             // dropping a `System` does not trim the heap and the next
             // `System::new` need not fault those pages back in.
             steps: Vec::with_capacity(16),
-            locks: HashMap::new(),
+            locks: Locks::new(cfg.cores),
             waiters: HashMap::new(),
             flush_started: HashMap::new(),
             log_ready: HashMap::new(),
             queue: EventQueue::new(),
+            events: 0,
             scratch: Scratch::default(),
             now: Cycle::ZERO,
             token_seq: 1,
@@ -284,7 +288,7 @@ impl System {
     /// Takes a metric sample if the sampler is attached and due at the
     /// current cycle. Called whenever simulated time advances.
     #[inline]
-    fn maybe_sample(&mut self) {
+    pub(crate) fn maybe_sample(&mut self) {
         if !self.obs.sample_due(self.now) {
             return;
         }
@@ -361,9 +365,10 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation wedges (a core is parked on an epoch whose
-    /// flush never completes) — that is a protocol bug, not a workload
-    /// condition.
+    /// Panics if the simulation wedges: a core is parked on an epoch whose
+    /// flush never completes (a protocol bug), or spins on a lock that is
+    /// never released (a workload bug). The message lists every core's
+    /// state and every held lock.
     pub fn run(&mut self) -> SimStats {
         if self.obs.is_enabled() && self.epochs_enabled() {
             // Open every core's first epoch on the trace timeline.
@@ -389,8 +394,9 @@ impl System {
             .collect();
         assert!(
             unfinished.is_empty(),
-            "simulation wedged at {} with cores {unfinished:?} unfinished",
-            self.now
+            "simulation wedged at {} with cores {unfinished:?} unfinished\n{}",
+            self.now,
+            self.debug_state()
         );
         self.drain_epochs();
         self.finalize_stats();
@@ -398,23 +404,32 @@ impl System {
     }
 
     fn drain_queue(&mut self) {
-        let mut processed: u64 = 0;
+        let first = self.events;
         let budget = self.event_budget();
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, key, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "time went backwards");
+            if self.locks.any_spinning() {
+                self.sample_skipped_retries(t);
+            }
             self.now = t;
             self.mesh.advance_to(t);
             self.maybe_sample();
-            processed += 1;
-            if processed > budget {
+            self.events += 1;
+            if self.events - first > budget {
                 panic!(
                     "event budget exceeded at {} — livelock suspected\n{}",
                     self.now,
                     self.debug_state()
                 );
             }
+            let plain = self.queue.plain();
+            self.locks.plain_pop(key);
             match ev {
                 Event::Step(core) => self.step_core(core),
+                Event::LockRetry => {
+                    let core = self.locks.take_woken(t, key);
+                    self.step_core(core);
+                }
                 Event::BankAck(core, epoch, bank) => {
                     self.emit(TraceEventKind::BankAck {
                         tag: EpochTag::new(core, epoch),
@@ -423,11 +438,21 @@ impl System {
                     self.run_protocol(|p, out| p.bank_ack(core, epoch, out));
                 }
             }
+            if self.locks.any_spinning() && self.queue.plain() != plain {
+                self.locks.log_pop(t, self.queue.plain());
+            }
         }
     }
 
+    /// Events popped from the event queue so far: one per core step, bank
+    /// acknowledgement and lock retry that an unlock scheduled. A lock
+    /// retry that loses while the lock stays held is not an event.
+    pub fn events_processed(&self) -> u64 {
+        self.events
+    }
+
     /// A generous livelock watchdog: no healthy run needs more than this
-    /// many events (ops x constant factor plus lock-spin slack).
+    /// many events (ops x constant factor plus slack).
     fn event_budget(&self) -> u64 {
         let ops: u64 = self
             .cores
@@ -438,7 +463,8 @@ impl System {
         ops * 2_000 + 10_000_000
     }
 
-    /// One-line-per-core diagnostic dump for wedge/livelock panics.
+    /// One line per core, then one per held lock with its parked spinners,
+    /// for wedge/livelock panics.
     fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -453,7 +479,7 @@ impl System {
             );
         }
         let _ = writeln!(s, "waiters: {:?}", self.waiters.keys().collect::<Vec<_>>());
-        let _ = writeln!(s, "locks: {:?}", self.locks);
+        s.push_str(&self.locks.describe());
         s
     }
 
@@ -649,7 +675,7 @@ impl System {
                 self.queue.schedule(at, Event::Step(core));
             }
             StepOutcome::Blocked => {
-                // Parked; a persist wakeup will reschedule the Step.
+                // Parked; a persist wakeup or an unlock reschedules it.
             }
         }
     }
@@ -760,48 +786,6 @@ impl System {
         BarrierOutcome::Done(self.now + 1)
     }
 
-    fn exec_lock(&mut self, core: CoreId, addr: Addr) -> StepOutcome {
-        let line = addr.line();
-        match self.locks.get(&line) {
-            Some(holder) if *holder != core => {
-                // Spin locally, retry with a deterministic per-core backoff.
-                let backoff = 30 + (u64::from(core.as_u32()) * 7) % 50;
-                self.stats.lock_wait_cycles += backoff;
-                StepOutcome::RetryAt(self.now + backoff)
-            }
-            _ => {
-                // Free, or already held by us (retry after a blocked fill).
-                self.locks.insert(line, core);
-                match self.do_access(core, line, Some(1)) {
-                    crate::access::Access::Done { at } => {
-                        self.stats.stores += 1;
-                        StepOutcome::Next(at)
-                    }
-                    crate::access::Access::Blocked { tag } => {
-                        self.park(core, tag, StallKind::OnlinePersist);
-                        StepOutcome::Blocked
-                    }
-                }
-            }
-        }
-    }
-
-    fn exec_unlock(&mut self, core: CoreId, addr: Addr) -> StepOutcome {
-        let line = addr.line();
-        let holder = self.locks.remove(&line);
-        debug_assert_eq!(holder, Some(core), "unlock of a lock we don't hold");
-        match self.do_access(core, line, Some(0)) {
-            crate::access::Access::Done { .. } => {
-                self.stats.stores += 1;
-                StepOutcome::Next(self.now + 1)
-            }
-            crate::access::Access::Blocked { tag } => {
-                self.park(core, tag, StallKind::OnlinePersist);
-                StepOutcome::Blocked
-            }
-        }
-    }
-
     /// Borrows a core-list scratch buffer from the pool (empty).
     pub(crate) fn take_core_buf(&mut self) -> Vec<CoreId> {
         self.scratch.core_bufs.pop().unwrap_or_default()
@@ -829,7 +813,7 @@ impl System {
 
 /// Outcome of executing one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StepOutcome {
+pub(crate) enum StepOutcome {
     Next(Cycle),
     RetryAt(Cycle),
     Blocked,

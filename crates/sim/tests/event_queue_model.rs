@@ -2,9 +2,10 @@
 //! against the straightforward `BinaryHeap` reference
 //! ([`HeapEventQueue`]). Under any interleaving of schedules and pops —
 //! including deltas past the wheel window, which take the overflow heap —
-//! both queues must dequeue the exact same `(cycle, event)` sequence,
-//! because the simulator's determinism rests on the (cycle, seq) total
-//! order alone.
+//! and keyed inserts that tie with or fall between existing keys — both
+//! queues must dequeue the exact same `(cycle, key, event)` sequence,
+//! because the simulator's determinism rests on the `(cycle, key)` order
+//! (insertion order among equal keys) alone.
 
 use pbm_sim::{Event, EventQueue, HeapEventQueue};
 use pbm_types::{BankId, CoreId, Cycle, EpochId};
@@ -25,7 +26,8 @@ proptest! {
     fn wheel_dequeues_in_heap_reference_order(
         // Deltas reach past the 4096-slot wheel window so the far-future
         // overflow path is exercised, not just the fast path.
-        actions in proptest::collection::vec((0u8..4, 0u64..6000, 0u32..8), 1..400),
+        // Op 3 is a keyed insert: an even key up to the next plain key.
+        actions in proptest::collection::vec((0u8..5, 0u64..6000, 0u32..8), 1..400),
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
@@ -37,11 +39,19 @@ proptest! {
                 wheel.schedule(at, ev);
                 heap.schedule(at, ev);
                 prop_assert_eq!(wheel.len(), heap.len());
+            } else if op == 3 {
+                // Small deltas put several keyed entries on one cycle.
+                let at = Cycle::new(now + if delta < 5000 { delta % 4 } else { delta });
+                let key = 2 * wheel.plain().saturating_sub(u64::from(core % 3));
+                let ev = event_for(core, delta);
+                wheel.schedule_keyed(at, key, ev);
+                heap.schedule_keyed(at, key, ev);
+                prop_assert_eq!(wheel.len(), heap.len());
             } else {
                 let got = wheel.pop();
                 let want = heap.pop();
                 prop_assert_eq!(got, want);
-                if let Some((t, _)) = want {
+                if let Some((t, _, _)) = want {
                     // The simulator never schedules in the past: pops
                     // advance the clock that later schedules build on.
                     now = t.as_u64();

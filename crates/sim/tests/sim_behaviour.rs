@@ -274,6 +274,33 @@ fn locks_provide_mutual_exclusion_and_cost() {
 }
 
 #[test]
+fn a_lock_never_released_wedges_with_the_line_and_holder_named() {
+    use pbm_sim::VOLATILE_BASE;
+    let lock = Addr::new(VOLATILE_BASE + 3 * 64);
+    let mut holder = ProgramBuilder::new();
+    holder.lock(lock).store(Addr::new(0), 1); // finishes holding it
+    let mut spinner = ProgramBuilder::new();
+    spinner.compute(10).lock(lock).unlock(lock);
+    let mut sys = System::new(
+        cfg(BarrierKind::LbPp),
+        vec![holder.build(), spinner.build()],
+    )
+    .unwrap();
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run()))
+        .expect_err("the spinner can never finish");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(msg.contains("simulation wedged"), "{msg}");
+    assert!(msg.contains("with cores [1] unfinished"), "{msg}");
+    let line = format!("lock {}: held by C0, parked spinners [C1]", lock.line());
+    assert!(msg.contains(&line), "{msg}");
+    // The spinner parks instead of polling: a handful of events, not the
+    // 10 M-event livelock watchdog.
+    assert!(sys.events_processed() < 20, "{}", sys.events_processed());
+}
+
+#[test]
 fn deterministic_across_runs() {
     let progs = || vec![two_epochs(), two_epochs()];
     let mut a = System::new(cfg(BarrierKind::LbPp), progs()).unwrap();

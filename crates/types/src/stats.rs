@@ -269,7 +269,10 @@ pub struct SimStats {
     pub load_cycles: u64,
     /// Number of times a core parked waiting for an epoch persist.
     pub parks: u64,
-    /// Cycles cores spent spinning on contended locks.
+    /// Cycles cores spent spinning on contended locks: each retry that
+    /// finds the lock held charges the core's backoff (`30 + 7c mod 50`
+    /// cycles for core `c`), including retries the simulator skips while
+    /// the core is parked on the lock.
     pub lock_wait_cycles: u64,
     /// Cycles cores spent stalled at persist barriers (EP rule E2, or BEP
     /// in-flight-epoch back-pressure).
