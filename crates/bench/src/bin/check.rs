@@ -122,13 +122,10 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         args.campaign.jobs,
     );
-    let mut dirty = false;
     for msg in &report.differential_failures {
-        dirty = true;
         println!("DIFFERENTIAL FAILURE: {msg}");
     }
     for failing in &report.failures {
-        dirty = true;
         println!(
             "FAILURE: seed {} {} {}: {}",
             failing.spec.seed, failing.spec.barrier, failing.spec.persistency, failing.failure
@@ -148,7 +145,7 @@ fn main() {
             path.display()
         );
     }
-    if dirty {
+    if !report.is_clean() {
         std::process::exit(1);
     }
     println!("# check: clean");

@@ -7,8 +7,11 @@
 //! tracks a sharer bitmask and an optional exclusive owner per LLC-resident
 //! line — the minimal state for those two jobs.
 
-use pbm_types::{CoreId, LineAddr};
+use pbm_types::{CoreId, LineAddr, MAX_CORES};
 use std::collections::HashMap;
+
+// `SystemConfig::validate` caps the core count so every core has a bit.
+const _: () = assert!(MAX_CORES <= u64::BITS as usize);
 
 /// Directory state for one line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

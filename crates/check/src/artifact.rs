@@ -2,8 +2,8 @@
 //!
 //! A shrunk failing case is serialized into `tests/corpus/` so CI can
 //! replay it forever. The format is the deterministic integer-only JSON
-//! dialect of [`pbm_obs::json`] (the in-tree `serde` is an API stand-in
-//! whose derives are no-ops, so the harness hand-rolls its documents):
+//! dialect of [`pbm_obs::json`] (the workspace has no serialization
+//! framework, so the harness hand-rolls its documents):
 //!
 //! ```json
 //! {"schema": "pbm-check-case/v1",

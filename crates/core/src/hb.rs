@@ -5,10 +5,9 @@
 //! the epoch flush protocol is to ensure that the order in which epochs are
 //! persisted is consistent with this happens-before order."
 //!
-//! [`HbGraph`] records exactly that union and answers the two questions the
+//! [`HbGraph`] records exactly that union and answers the one question the
 //! rest of the system asks of it: is the order still acyclic (deadlock
-//! freedom), and is a given set of persisted epochs *prefix-closed* under
-//! it (crash consistency)?
+//! freedom)? [`HbGraph::find_cycle`] names a witness cycle when it is not.
 
 use pbm_types::EpochTag;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -18,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub struct HbGraph {
     /// edges[a] = epochs that must persist after `a` (a happens-before b).
     succ: BTreeMap<EpochTag, BTreeSet<EpochTag>>,
-    /// Reverse edges, for prefix checks.
+    /// Reverse edges: the in-degrees for [`HbGraph::is_acyclic`]'s Kahn pass.
     pred: BTreeMap<EpochTag, BTreeSet<EpochTag>>,
 }
 

@@ -22,12 +22,11 @@
 use crate::hb::HbGraph;
 use pbm_nvram::{DurableSnapshot, LineValue};
 use pbm_types::{CoreId, EpochId, EpochTag, LineAddr};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A detected violation of the persistency model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsistencyViolation {
     /// A durable line holds a value no recorded store ever wrote.
     PhantomValue {
@@ -56,7 +55,7 @@ pub enum ConsistencyViolation {
 }
 
 /// Why the checker demanded an epoch be complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionReason {
     /// A newer epoch of the same core has durable effects (program order).
     ProgramOrder {

@@ -1,10 +1,9 @@
 //! Mesh coordinates and node placement.
 
 use pbm_types::{NodeId, SystemConfig};
-use serde::{Deserialize, Serialize};
 
 /// A (row, column) position in the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Mesh row, 0 at the top.
     pub row: usize,

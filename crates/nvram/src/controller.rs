@@ -35,8 +35,6 @@ pub struct McTiming {
     read_banks: Vec<Cycle>,
     read_latency: u64,
     write_latency: u64,
-    reads: u64,
-    writes: u64,
     /// Maximum extra per-access service delay (0 = exact model).
     jitter_max: u64,
     /// SplitMix64 state for the jitter stream.
@@ -57,8 +55,6 @@ impl McTiming {
             read_banks: vec![Cycle::ZERO; parallelism],
             read_latency,
             write_latency,
-            reads: 0,
-            writes: 0,
             jitter_max: 0,
             jitter_state: 0,
         }
@@ -91,7 +87,6 @@ impl McTiming {
     /// Schedules a line read issued at `now`; returns its completion time.
     /// Reads have priority: they never wait behind buffered writes.
     pub fn schedule_read(&mut self, now: Cycle) -> Cycle {
-        self.reads += 1;
         let latency = self.read_latency + self.jitter();
         Self::schedule_on(&mut self.read_banks, now, latency)
     }
@@ -109,7 +104,6 @@ impl McTiming {
     /// `durable - start` is device service time. Profilers use the split
     /// to attribute persist latency to MC contention vs NVRAM write cost.
     pub fn schedule_write_timed(&mut self, now: Cycle) -> (Cycle, Cycle) {
-        self.writes += 1;
         let latency = self.write_latency + self.jitter();
         Self::schedule_on_timed(&mut self.banks, now, latency)
     }
@@ -120,16 +114,6 @@ impl McTiming {
     /// is a lower bound that tracks saturation faithfully).
     pub fn pending_writes(&self, now: Cycle) -> u64 {
         self.banks.iter().filter(|t| **t > now).count() as u64
-    }
-
-    /// Reads scheduled so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Writes scheduled so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     fn schedule_on(lanes: &mut [Cycle], now: Cycle, latency: u64) -> Cycle {
@@ -183,8 +167,6 @@ mod tests {
         let mut mc = McTiming::new(2, 240, 360);
         assert_eq!(mc.schedule_read(Cycle::new(100)), Cycle::new(340));
         assert_eq!(mc.schedule_write(Cycle::new(100)), Cycle::new(460));
-        assert_eq!(mc.read_count(), 1);
-        assert_eq!(mc.write_count(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub type LineValue = u64;
 
 /// Byte-addressable non-volatile memory at line granularity.
 ///
-/// `persist` applies a durable write at a given cycle; `read` returns the
+/// `persist` applies a durable write at a given cycle; `peek` returns the
 /// current durable value. When constructed [`NvramDevice::with_history`],
 /// every write is also journalled so [`NvramDevice::snapshot_at`] can
 /// reconstruct the durable state at any past cycle — the primitive on which
@@ -22,8 +22,6 @@ pub type LineValue = u64;
 pub struct NvramDevice {
     lines: HashMap<LineAddr, LineValue>,
     history: Option<Vec<(Cycle, LineAddr, LineValue)>>,
-    writes: u64,
-    reads: u64,
 }
 
 impl NvramDevice {
@@ -48,31 +46,14 @@ impl NvramDevice {
     /// timing-free.
     pub fn persist(&mut self, line: LineAddr, value: LineValue, at: Cycle) {
         self.lines.insert(line, value);
-        self.writes += 1;
         if let Some(h) = &mut self.history {
             h.push((at, line, value));
         }
     }
 
     /// Reads the durable value of `line`, or `None` if never persisted.
-    pub fn read(&mut self, line: LineAddr) -> Option<LineValue> {
-        self.reads += 1;
-        self.lines.get(&line).copied()
-    }
-
-    /// Reads without bumping the access counter (for checkers/tests).
     pub fn peek(&self, line: LineAddr) -> Option<LineValue> {
         self.lines.get(&line).copied()
-    }
-
-    /// Total durable line writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total line reads served.
-    pub fn read_count(&self) -> u64 {
-        self.reads
     }
 
     /// Reconstructs the durable state as of cycle `at` (inclusive).
@@ -124,12 +105,9 @@ mod tests {
     #[test]
     fn read_after_persist() {
         let mut nv = NvramDevice::new();
-        assert_eq!(nv.read(LineAddr::new(5)), None);
+        assert_eq!(nv.peek(LineAddr::new(5)), None);
         nv.persist(LineAddr::new(5), 42, Cycle::new(10));
-        assert_eq!(nv.read(LineAddr::new(5)), Some(42));
         assert_eq!(nv.peek(LineAddr::new(5)), Some(42));
-        assert_eq!(nv.write_count(), 1);
-        assert_eq!(nv.read_count(), 2);
     }
 
     #[test]
@@ -138,7 +116,6 @@ mod tests {
         nv.persist(LineAddr::new(1), 1, Cycle::new(1));
         nv.persist(LineAddr::new(1), 2, Cycle::new(2));
         assert_eq!(nv.peek(LineAddr::new(1)), Some(2));
-        assert_eq!(nv.write_count(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! let mut nv = NvramDevice::with_history();
 //! nv.persist(LineAddr::new(1), 0xAA, Cycle::new(100));
 //! nv.persist(LineAddr::new(1), 0xBB, Cycle::new(200));
-//! assert_eq!(nv.read(LineAddr::new(1)), Some(0xBB));
+//! assert_eq!(nv.peek(LineAddr::new(1)), Some(0xBB));
 //! let old = nv.snapshot_at(Cycle::new(150));
 //! assert_eq!(old.line(pbm_types::LineAddr::new(1)), Some(0xAA));
 //! ```

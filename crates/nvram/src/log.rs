@@ -34,8 +34,6 @@ pub struct LogRecord {
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
     records: Vec<LogRecord>,
-    appended: u64,
-    committed_epochs: u64,
 }
 
 impl UndoLog {
@@ -66,7 +64,6 @@ impl UndoLog {
             .records
             .last()
             .map_or(durable_at, |r| durable_at.max(r.durable_at));
-        self.appended += 1;
         self.records.push(LogRecord {
             tag,
             line,
@@ -80,31 +77,14 @@ impl UndoLog {
     /// Marks every record of `tag` committed, with the commit marker
     /// durable at `at`. Idempotent per epoch.
     pub fn commit_epoch(&mut self, tag: EpochTag, at: Cycle) {
-        let mut any = false;
         for r in self.records.iter_mut().filter(|r| r.tag == tag) {
-            if r.committed_at.is_none() {
-                r.committed_at = Some(at);
-                any = true;
-            }
-        }
-        if any {
-            self.committed_epochs += 1;
+            r.committed_at.get_or_insert(at);
         }
     }
 
     /// All records, in append order.
     pub fn records(&self) -> &[LogRecord] {
         &self.records
-    }
-
-    /// Total records ever appended.
-    pub fn append_count(&self) -> u64 {
-        self.appended
-    }
-
-    /// Epochs for which a commit marker was written.
-    pub fn committed_epoch_count(&self) -> u64 {
-        self.committed_epochs
     }
 
     /// Records that, at a crash at cycle `at`, are durable but whose epoch
@@ -132,10 +112,13 @@ mod tests {
         let mut log = UndoLog::new();
         log.append(tag(0, 0), LineAddr::new(1), Some(10), Cycle::new(5));
         log.append(tag(0, 0), LineAddr::new(2), None, Cycle::new(6));
-        assert_eq!(log.append_count(), 2);
+        assert_eq!(log.records().len(), 2);
         assert_eq!(log.pending_at(Cycle::new(10)).count(), 2);
         log.commit_epoch(tag(0, 0), Cycle::new(20));
-        assert_eq!(log.committed_epoch_count(), 1);
+        assert!(log
+            .records()
+            .iter()
+            .all(|r| r.committed_at == Some(Cycle::new(20))));
         assert_eq!(log.pending_at(Cycle::new(25)).count(), 0);
         // Before the commit marker was durable, records are still pending.
         assert_eq!(log.pending_at(Cycle::new(15)).count(), 2);
@@ -165,7 +148,6 @@ mod tests {
         log.append(tag(0, 1), LineAddr::new(1), Some(1), Cycle::new(1));
         log.commit_epoch(tag(0, 1), Cycle::new(2));
         log.commit_epoch(tag(0, 1), Cycle::new(3));
-        assert_eq!(log.committed_epoch_count(), 1);
         let r = log.records()[0];
         assert_eq!(r.committed_at, Some(Cycle::new(2)), "first commit wins");
     }

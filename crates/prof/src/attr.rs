@@ -92,11 +92,6 @@ impl Component {
         }
     }
 
-    /// Parses the name produced by [`Component::name`].
-    pub fn parse(s: &str) -> Option<Component> {
-        Component::ALL.into_iter().find(|c| c.name() == s)
-    }
-
     const fn index(self) -> usize {
         self as usize
     }
@@ -457,15 +452,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn component_names_round_trip_and_are_distinct() {
+    fn component_names_are_distinct() {
         let mut names: Vec<_> = Component::ALL.iter().map(|c| c.name()).collect();
-        for c in Component::ALL {
-            assert_eq!(Component::parse(c.name()), Some(c));
-        }
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Component::ALL.len());
-        assert_eq!(Component::parse("bogus"), None);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl System {
             let t_mc = self.send_msg(Self::node_bank(b), NodeId::Mc(mc), MessageClass::Control, t);
             let t_rd = self.mcs[mc.index()].schedule_read(t_mc);
             self.stats.nvram_reads += 1;
-            value = self.nvram.read(line).unwrap_or(0);
+            value = self.nvram.peek(line).unwrap_or(0);
             if let Err(blocker) = self.llc_make_room(b, line) {
                 return self.blocked_on(blocker, FlushReason::Eviction);
             }

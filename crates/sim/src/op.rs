@@ -9,7 +9,6 @@
 
 use pbm_obs::json::JsonValue;
 use pbm_types::Addr;
-use serde::{Deserialize, Serialize};
 
 /// One operation in a core's program.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// express the paper's workloads (persistent data-structure transactions
 /// under locks, and barrier-free BSP applications) while keeping traces
 /// replayable and deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Load the line containing `addr`; the core blocks until data returns.
     Load(Addr),
@@ -45,7 +44,7 @@ pub enum Op {
 }
 
 /// An immutable per-core operation sequence.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     ops: Vec<Op>,
 }

@@ -1,6 +1,5 @@
 //! Byte and cache-line addresses in the simulated physical address space.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// log2 of the cache-line size (64 B lines, per Table 1).
@@ -19,9 +18,7 @@ pub const LINE_SIZE: u64 = 1 << LINE_SIZE_BITS;
 /// assert_eq!(a.line_offset(), 2);
 /// assert_eq!(a.offset(LINE_SIZE), Addr::new(130 + LINE_SIZE));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -67,9 +64,7 @@ impl fmt::Display for Addr {
 ///
 /// All coherence, epoch tagging and persistence in the simulator happen at
 /// line granularity, mirroring the hardware.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(u64);
 
 impl LineAddr {

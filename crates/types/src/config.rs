@@ -2,7 +2,10 @@
 
 use crate::error::ConfigError;
 use crate::kinds::{BarrierKind, FlushMode, PersistencyKind};
-use serde::{Deserialize, Serialize};
+
+/// Most cores a [`SystemConfig`] may have: the LLC directory keeps each
+/// line's sharers as one bit per core in a `u64`.
+pub const MAX_CORES: usize = 64;
 
 /// Full configuration of the simulated multicore, mirroring Table 1 of the
 /// paper plus the persistency-machinery knobs from §4.3 and §5.2.
@@ -26,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.mesh_cols(), 2); // 8 tiles over 4 rows
 /// # Ok::<(), pbm_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of cores (1 thread per core). Paper: 32.
     pub cores: usize,
@@ -174,6 +177,9 @@ impl SystemConfig {
         nonzero(self.bsp_epoch_size, "bsp epoch size")?;
         nonzero(self.mc_parallelism as u64, "mc parallelism")?;
         nonzero(self.flit_bytes, "flit bytes")?;
+        if self.cores > MAX_CORES {
+            return Err(ConfigError::TooManyCores { cores: self.cores });
+        }
 
         if !(self.llc_banks as u64).is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo {
@@ -269,6 +275,17 @@ mod tests {
             c.validate().unwrap_err(),
             ConfigError::ZeroCount { what: "cores" }
         );
+    }
+
+    #[test]
+    fn rejects_more_cores_than_the_sharer_mask_holds() {
+        let mut c = SystemConfig::micro48();
+        c.cores = MAX_CORES;
+        assert!(c.clone().validate().is_ok());
+        c.cores = MAX_CORES + 1;
+        let e = c.validate().unwrap_err();
+        assert_eq!(e, ConfigError::TooManyCores { cores: 65 });
+        assert!(e.to_string().contains("at most 64"), "{e}");
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub enum ConfigError {
         /// Explanation of the mismatch.
         detail: String,
     },
+    /// More cores than [`MAX_CORES`](crate::MAX_CORES) were requested.
+    TooManyCores {
+        /// Cores requested.
+        cores: usize,
+    },
     /// The mesh cannot host the requested number of nodes.
     MeshTooSmall {
         /// Nodes that need placing.
@@ -49,6 +54,13 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::CacheGeometry { what, detail } => {
                 write!(f, "invalid {what} geometry: {detail}")
+            }
+            ConfigError::TooManyCores { cores } => {
+                write!(
+                    f,
+                    "cores must be at most {} (one bit each in the directory's sharer mask), got {cores}",
+                    crate::MAX_CORES
+                )
             }
             ConfigError::MeshTooSmall { nodes, slots } => {
                 write!(f, "mesh has {slots} slots but {nodes} nodes need placing")

@@ -1,15 +1,11 @@
 //! Identifiers for hardware components and epochs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_newtype {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u32);
 
         impl $name {
@@ -88,7 +84,7 @@ impl CoreId {
 
 /// A node on the on-chip interconnect: a core tile, an LLC bank or a
 /// memory controller. The concrete placement is decided by `pbm-noc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// A core tile (core + private L1 + epoch arbiter).
     Core(CoreId),
@@ -115,9 +111,7 @@ impl fmt::Display for NodeId {
 /// models the 3-bit width by limiting in-flight epochs
 /// ([`SystemConfig::inflight_epochs`](crate::SystemConfig)). Epoch 0 is the
 /// first epoch of every thread.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EpochId(u64);
 
 impl EpochId {
@@ -159,7 +153,7 @@ impl fmt::Display for EpochId {
 ///
 /// Two tags are equal only if both the owning core and the epoch match; the
 /// pair globally identifies an epoch across the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EpochTag {
     /// Core that last modified the line.
     pub core: CoreId,

@@ -1,6 +1,5 @@
 //! Experiment axes: barrier implementations, persistency models, flush modes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which persist-barrier implementation the memory system uses.
@@ -10,7 +9,7 @@ use std::fmt;
 /// applied individually (`LbIdt`, `LbPf`), and their combination `LbPp`
 /// (written "LB++" in the paper). `NoPersistency` and `WriteThrough` are the
 /// lower/upper baselines used in §7.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BarrierKind {
     /// No persistency enforcement at all ("NP"): plain write-back caches
     /// over NVRAM. The baseline every BSP result is normalized to.
@@ -75,7 +74,7 @@ impl fmt::Display for BarrierKind {
 
 /// Which persistency model the system enforces (Pelley et al., ISCA'14,
 /// as refined in §2.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PersistencyKind {
     /// Strict persistency: every store persists before the next becomes
     /// visible. Modeled for the Figure 1(a) timeline and the write-through
@@ -107,7 +106,7 @@ impl fmt::Display for PersistencyKind {
 }
 
 /// Whether a cache-line flush invalidates the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushMode {
     /// `clflush`-style: the line is written back *and invalidated*. Later
     /// accesses re-fetch from NVRAM, disrupting locality.

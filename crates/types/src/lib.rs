@@ -36,7 +36,7 @@ mod stats;
 mod time;
 
 pub use addr::{Addr, LineAddr, LINE_SIZE, LINE_SIZE_BITS};
-pub use config::SystemConfig;
+pub use config::{SystemConfig, MAX_CORES};
 pub use error::ConfigError;
 pub use ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId, ThreadId};
 pub use kinds::{BarrierKind, FlushMode, PersistencyKind};

@@ -1,7 +1,5 @@
 //! Message size classes carried by the on-chip network.
 
-use serde::{Deserialize, Serialize};
-
 /// Size and virtual-network class of a network message.
 ///
 /// Mirrors the virtual-network split of the Ruby/Garnet setup the paper
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The variants are in vnet order; the Chrome trace export uses
 /// `class as u64` as the NoC track id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageClass {
     /// Header-only message (requests, acks, barrier protocol): 8 bytes.
     Control,

@@ -8,11 +8,10 @@
 use crate::ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId};
 use crate::message::MessageClass;
 use crate::time::Cycle;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why an epoch flush was requested — the attribution behind Figure 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FlushReason {
     /// An intra- or inter-thread epoch conflict demanded the flush
     /// (an *online* persist).
@@ -50,7 +49,7 @@ impl fmt::Display for FlushReason {
 }
 
 /// Why a core is stalled (for cycle attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StallKind {
     /// Waiting for an epoch to persist online (conflict or eviction).
     OnlinePersist,
@@ -81,7 +80,7 @@ impl fmt::Display for StallKind {
 /// Epochs advance strictly `Ongoing → Completed → Flushing → Persisted`;
 /// persistence is in-order per core (rule E1 of epoch persistency), so the
 /// ledger can represent all persisted epochs by a single frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EpochPhase {
     /// The epoch is still accepting stores (its closing barrier has not
     /// retired).
@@ -95,7 +94,7 @@ pub enum EpochPhase {
 }
 
 /// One cycle-stamped observation from the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated cycle at which the event happened.
     pub cycle: Cycle,
@@ -111,7 +110,7 @@ impl TraceEvent {
 }
 
 /// The payload of a [`TraceEvent`] — one per instrumentation point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// An epoch moved to a new lifecycle phase.
     EpochPhase {
@@ -266,7 +265,7 @@ pub enum TraceEventKind {
 /// Counter fields are *cumulative* at the sample instant, so consumers can
 /// difference adjacent rows for rates (e.g. NVRAM write bandwidth); gauge
 /// fields (`mc_queue_depth`, `stalled_cores`) are instantaneous.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MetricSample {
     /// Sample instant.
     pub cycle: Cycle,

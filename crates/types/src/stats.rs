@@ -1,6 +1,5 @@
 //! Simulation statistics: counters and histograms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-bucket power-of-two histogram for latency-like quantities.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(h.max(), 1000);
 /// assert!(h.mean() > 500.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -202,7 +201,7 @@ impl fmt::Display for Histogram {
 /// summed by the simulator before being reported. The field groups mirror
 /// the quantities the paper reports: execution time, epoch/conflict
 /// accounting (Figure 12), persist traffic, and stall attribution.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SimStats {
     /// Total execution time in cycles (max over cores).
     pub cycles: u64,
@@ -303,11 +302,6 @@ impl SimStats {
         } else {
             100.0 * self.epochs_conflict_flushed as f64 / flushed as f64
         }
-    }
-
-    /// Total epoch conflicts of both kinds.
-    pub fn total_conflicts(&self) -> u64 {
-        self.conflicts_intra + self.conflicts_inter
     }
 
     /// Transactions per million cycles (micro-benchmark throughput metric).
@@ -465,6 +459,5 @@ mod tests {
         assert_eq!(a.cycles, 20);
         assert_eq!(a.loads, 3);
         assert_eq!(a.conflicts_inter, 3);
-        assert_eq!(a.total_conflicts(), 3);
     }
 }

@@ -1,6 +1,5 @@
 //! Simulation time, measured in core clock cycles.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t + Cycle::new(3), Cycle::new(33));
 /// assert_eq!((t - Cycle::new(10)).as_u64(), 20);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycle(u64);
 
 impl Cycle {

@@ -66,11 +66,6 @@ impl PersistentHeap {
         let base = self.alloc(region, stride * count);
         (base, stride)
     }
-
-    /// Bytes allocated in the persistent region so far.
-    pub fn persistent_used(&self) -> u64 {
-        self.persistent_next
-    }
 }
 
 impl Default for PersistentHeap {
@@ -92,7 +87,8 @@ mod tests {
         assert_eq!(a, Addr::new(0));
         assert_eq!(b, Addr::new(64));
         assert_eq!(c, Addr::new(64 + 128));
-        assert_eq!(h.persistent_used(), 64 + 128 + 512);
+        let d = h.alloc(HeapRegion::Persistent, 64);
+        assert_eq!(d, Addr::new(64 + 128 + 512));
     }
 
     #[test]
