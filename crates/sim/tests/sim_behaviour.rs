@@ -396,3 +396,46 @@ fn preloaded_state_is_readable_and_checkable() {
     let snap = sys.persistent_snapshot_at(Cycle::new(1_000_000));
     sys.checker().unwrap().check_bep(&snap).unwrap();
 }
+
+#[test]
+fn write_permission_follows_the_directory_owner() {
+    // C0 stores X twice (a miss, then a hit), C1 loads X, then C0 stores X
+    // twice more (an upgrade miss, then a hit): two hits, three misses.
+    // Under LB C1's load conflicts with C0's epoch and misses again on its
+    // retry; under clflush-style flushing that persist also takes X out of
+    // C0's L1. Under LB+IDT C0's third store first waits for its own split
+    // epoch (an intra-thread conflict, not counted), then misses.
+    let x = Addr::new(0);
+    let c0 = {
+        let mut b = ProgramBuilder::new();
+        b.store(x, 1)
+            .store(x, 2)
+            .compute(20_000)
+            .store(x, 3)
+            .store(x, 4);
+        b.build()
+    };
+    let c1 = {
+        let mut b = ProgramBuilder::new();
+        b.compute(10_000).load(x);
+        b.build()
+    };
+    use pbm_types::FlushMode::{Invalidating, NonInvalidating};
+    for (barrier, mode, hits, misses) in [
+        (BarrierKind::NoPersistency, NonInvalidating, 2, 3),
+        (BarrierKind::Lb, NonInvalidating, 2, 4),
+        (BarrierKind::LbIdt, NonInvalidating, 2, 4),
+        (BarrierKind::LbPp, NonInvalidating, 2, 3),
+        (BarrierKind::Lb, Invalidating, 2, 4),
+    ] {
+        let mut c = cfg(barrier);
+        c.flush_mode = mode;
+        let stats = System::new(c, vec![c0.clone(), c1.clone()]).unwrap().run();
+        assert_eq!((stats.stores, stats.loads), (4, 1), "{barrier} {mode:?}");
+        assert_eq!(
+            (stats.l1_hits, stats.l1_misses),
+            (hits, misses),
+            "{barrier} {mode:?}"
+        );
+    }
+}
