@@ -57,9 +57,9 @@ fn parse_args(args: &[String]) -> Result<Args, CliError> {
     let defaults = CampaignConfig::default();
     let budget = match f.value("--budget=") {
         None => defaults.budget,
-        Some(v) => parse_budget(v).ok_or_else(|| {
+        Some(v) => parse_budget(v).filter(|d| !d.is_zero()).ok_or_else(|| {
             CliError(format!(
-                "--budget takes seconds or minutes (60s, 2m), got {v:?}"
+                "--budget takes a positive number of seconds or minutes (60s, 2m), got {v:?}"
             ))
         })?,
     };
@@ -70,9 +70,9 @@ fn parse_args(args: &[String]) -> Result<Args, CliError> {
                 .unwrap_or_else(default_jobs),
             budget,
             seed: f.parsed("--seed=", "a seed")?.unwrap_or(defaults.seed),
-            max_cases: f.parsed("--max-cases=", "a case count")?,
+            max_cases: f.positive("--max-cases=", "case count")?,
             ops_per_core: f
-                .parsed("--ops=", "an op count")?
+                .positive("--ops=", "op count")?
                 .unwrap_or(defaults.ops_per_core),
             ..defaults
         },
@@ -95,15 +95,8 @@ fn write_artifact(dir: &Path, name: &str, text: &str) -> PathBuf {
 
 fn slug(label: &str) -> String {
     label
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                'p'
-            }
-        })
-        .collect()
+        .to_ascii_lowercase()
+        .replace(|c: char| !c.is_ascii_alphanumeric(), "p")
 }
 
 fn main() {
@@ -203,4 +196,29 @@ fn run_bugs(args: &Args, spec: &str) {
 #[cfg(not(feature = "bug-inject"))]
 fn run_bugs(_args: &Args, _spec: &str) {
     die("--bugs requires building with --features bug-inject");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rejects_empty_campaigns() {
+        for arg in [
+            "--ops=0",
+            "--max-cases=0",
+            "--budget=0",
+            "--budget=0m",
+            "--budget=1h",
+        ] {
+            let msg = parse_args(&[arg.to_string()]).expect_err(arg).0;
+            let flag = arg.split('=').next().expect("flag");
+            assert!(
+                msg.starts_with(&format!("{flag} takes a positive")),
+                "{msg}"
+            );
+        }
+        let ok = parse_args(&["--budget=2m".into()]).expect("valid");
+        assert_eq!(ok.campaign.budget, Duration::from_secs(120));
+    }
 }

@@ -114,9 +114,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         if let Some(max) = cfg.max_cases {
             specs.truncate(max.saturating_sub(report.cases));
         }
-        if specs.is_empty() {
-            break;
-        }
         for (spec, result) in parallel_map(cfg.jobs, specs, |spec| {
             let result = run_case(&spec);
             (spec, result)

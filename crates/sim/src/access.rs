@@ -31,11 +31,8 @@ pub(crate) enum Access {
 impl System {
     /// The epoch tag a store by `core` to `line` would carry, if any.
     fn current_tag_for(&self, core: CoreId, line: LineAddr) -> Option<EpochTag> {
-        if self.is_tagged_line(line) {
-            Some(self.protocol.current_tag(core))
-        } else {
-            None
-        }
+        self.is_tagged_line(line)
+            .then(|| self.protocol.current_tag(core))
     }
 
     /// Performs a demand access by `core` to `line`; `store` carries the
@@ -47,9 +44,9 @@ impl System {
         let is_store = store.is_some();
 
         // ---------------- L1 probe ----------------
-        if let Some(l) = self.l1s[i].array.peek(line).copied() {
+        if let Some(l) = self.l1s[i].peek(line).copied() {
             if !is_store {
-                self.l1s[i].array.access(line);
+                self.l1s[i].access(line);
                 self.stats.l1_hits += 1;
                 return Access::Done { at: now + l1_lat };
             }
@@ -58,13 +55,15 @@ impl System {
                 debug_assert_eq!(old.core, core, "L1 lines carry our own tags");
                 if self.protocol.is_persisted(old) {
                     // Stale tag: the epoch persisted; clean bookkeeping.
-                    self.l1s[i].array.mark_written_back(line);
+                    self.l1s[i].mark_written_back(line);
                 } else {
                     return self.intra_conflict(old);
                 }
             }
-            if self.l1s[i].exclusive.contains(&line) {
-                self.l1s[i].array.access(line);
+            // Write permission is the directory's: this L1 may write the
+            // line exactly when its bank records this core as the owner.
+            if self.banks[self.bank_of(line).index()].dir.owner(line) == Some(core) {
+                self.l1s[i].access(line);
                 self.stats.l1_hits += 1;
                 let value = store.expect("store path");
                 return self.commit_store(core, line, value, l.tag, now + l1_lat);
@@ -77,8 +76,8 @@ impl System {
         let b = self.bank_of(line);
         let bi = b.index();
         let t_req = self.send_msg(
-            Self::node_core(core),
-            Self::node_bank(b),
+            NodeId::Core(core),
+            NodeId::Bank(b),
             MessageClass::Control,
             now + l1_lat,
         );
@@ -91,7 +90,7 @@ impl System {
         if let Some(owner) = self.banks[bi].dir.owner(line) {
             if owner != core {
                 let oi = owner.index();
-                if let Some(ol) = self.l1s[oi].array.peek(line).copied() {
+                if let Some(ol) = self.l1s[oi].peek(line).copied() {
                     if ol.is_epoch_tagged() {
                         let src = ol.tag.expect("tagged");
                         if !self.inter_conflict(core, src) {
@@ -102,18 +101,18 @@ impl System {
                 }
                 // Re-read: conflict resolution may have flushed the line
                 // (PF on a split epoch), cleaning or even clearing it.
-                if let Some(ol) = self.l1s[oi].array.peek(line).copied() {
+                if let Some(ol) = self.l1s[oi].peek(line).copied() {
                     if ol.is_dirty() {
                         // Forward request to the owner; it writes back.
                         let t_fwd = self.send_msg(
-                            Self::node_bank(b),
-                            Self::node_core(owner),
+                            NodeId::Bank(b),
+                            NodeId::Core(owner),
                             MessageClass::Control,
                             t,
                         );
                         let t_data = self.send_msg(
-                            Self::node_core(owner),
-                            Self::node_bank(b),
+                            NodeId::Core(owner),
+                            NodeId::Bank(b),
                             MessageClass::Data,
                             t_fwd + self.cfg.l1_latency,
                         );
@@ -123,10 +122,9 @@ impl System {
                         }
                         // The owner keeps a clean shared copy on a remote
                         // load, or invalidates on a remote store.
-                        self.l1s[oi].array.mark_written_back(line);
-                        self.l1s[oi].exclusive.remove(&line);
+                        self.l1s[oi].mark_written_back(line);
                         if is_store {
-                            self.l1s[oi].array.remove(line);
+                            self.l1s[oi].remove(line);
                             self.banks[bi].dir.drop_core(line, owner);
                         } else {
                             self.banks[bi].dir.downgrade_owner(line);
@@ -134,7 +132,6 @@ impl System {
                         t = t.max(t_data);
                     } else {
                         // Stale ownership (clean-exclusive): downgrade.
-                        self.l1s[oi].exclusive.remove(&line);
                         self.banks[bi].dir.downgrade_owner(line);
                     }
                 } else {
@@ -172,7 +169,7 @@ impl System {
             // Miss: fetch from NVRAM and install.
             self.stats.llc_misses += 1;
             let mc = self.mc_of(line);
-            let t_mc = self.send_msg(Self::node_bank(b), NodeId::Mc(mc), MessageClass::Control, t);
+            let t_mc = self.send_msg(NodeId::Bank(b), NodeId::Mc(mc), MessageClass::Control, t);
             let t_rd = self.mcs[mc.index()].schedule_read(t_mc);
             self.stats.nvram_reads += 1;
             value = self.nvram.peek(line).unwrap_or(0);
@@ -180,7 +177,7 @@ impl System {
                 return self.blocked_on(blocker, FlushReason::Eviction);
             }
             self.banks[bi].array.install(CacheLine::clean(line, value));
-            t = self.send_msg(NodeId::Mc(mc), Self::node_bank(b), MessageClass::Data, t_rd);
+            t = self.send_msg(NodeId::Mc(mc), NodeId::Bank(b), MessageClass::Data, t_rd);
         }
 
         // ---------------- coherence permissions ----------------
@@ -191,17 +188,12 @@ impl System {
                 .invalidation_targets_into(line, core, &mut targets);
             let mut t_inv = t;
             for &c in &targets {
-                let t_send = self.send_msg(
-                    Self::node_bank(b),
-                    Self::node_core(c),
-                    MessageClass::Control,
-                    t,
-                );
-                self.l1s[c.index()].array.remove(line);
-                self.l1s[c.index()].exclusive.remove(&line);
+                let t_send =
+                    self.send_msg(NodeId::Bank(b), NodeId::Core(c), MessageClass::Control, t);
+                self.l1s[c.index()].remove(line);
                 let t_ack = self.send_msg(
-                    Self::node_core(c),
-                    Self::node_bank(b),
+                    NodeId::Core(c),
+                    NodeId::Bank(b),
                     MessageClass::Control,
                     t_send,
                 );
@@ -215,22 +207,16 @@ impl System {
         }
 
         // ---------------- data response + L1 install ----------------
-        let t_resp = self.send_msg(
-            Self::node_bank(b),
-            Self::node_core(core),
-            MessageClass::Data,
-            t,
-        );
-        if !self.l1s[i].array.contains(line) {
+        let t_resp = self.send_msg(NodeId::Bank(b), NodeId::Core(core), MessageClass::Data, t);
+        if !self.l1s[i].contains(line) {
             if let Err(blocker) = self.l1_make_room(core, line) {
                 return self.blocked_on(blocker, FlushReason::Eviction);
             }
-            self.l1s[i].array.install(CacheLine::clean(line, value));
+            self.l1s[i].install(CacheLine::clean(line, value));
         }
         let at = t_resp + self.cfg.l1_latency;
         if let Some(v) = store {
-            let prev_tag = self.l1s[i].array.peek(line).expect("installed").tag;
-            self.l1s[i].exclusive.insert(line);
+            let prev_tag = self.l1s[i].peek(line).expect("installed").tag;
             self.commit_store(core, line, v, prev_tag, at)
         } else {
             Access::Done { at }
@@ -267,14 +253,10 @@ impl System {
         ) {
             // Token 0 marks a line that has never been written (the fill
             // value for absent NVRAM lines): its pre-image is "no value".
-            let durable_old = self.l1s[i]
-                .array
-                .peek(line)
-                .map(|l| l.value)
-                .filter(|v| *v != 0);
+            let durable_old = self.l1s[i].peek(line).map(|l| l.value).filter(|v| *v != 0);
             let mc = self.mc_of(line);
             let t_mc = self.send_msg(
-                Self::node_core(core),
+                NodeId::Core(core),
                 NodeId::Mc(mc),
                 MessageClass::Writeback,
                 at,
@@ -288,26 +270,20 @@ impl System {
             let entry = self.log_ready.entry(tag).or_insert(t_done);
             *entry = (*entry).max(t_done);
         }
-        self.l1s[i].array.write(line, token, tag);
-        self.l1s[i].exclusive.insert(line);
+        self.l1s[i].write(line, token, tag);
         if let (Some(ck), Some(tag)) = (self.checker.as_mut(), tag) {
             ck.record_write(line, token, tag);
         }
         if self.cfg.barrier == BarrierKind::WriteThrough {
             // Strict persistency: write through and wait for durability.
             let mc = self.mc_of(line);
-            let t_mc = self.send_msg(
-                Self::node_core(core),
-                NodeId::Mc(mc),
-                MessageClass::Data,
-                at,
-            );
+            let t_mc = self.send_msg(NodeId::Core(core), NodeId::Mc(mc), MessageClass::Data, at);
             let t_w = self.mcs[mc.index()].schedule_write(t_mc);
             self.nvram.persist(line, token, t_w);
             self.stats.nvram_writes += 1;
             let t_ack = self.send_msg(
                 NodeId::Mc(mc),
-                Self::node_core(core),
+                NodeId::Core(core),
                 MessageClass::Control,
                 t_w,
             );
@@ -399,7 +375,7 @@ impl System {
                     let mut dirty = victim.is_dirty();
                     let mut blocked = None;
                     for &h in &holders {
-                        if let Some(hl) = self.l1s[h.index()].array.peek(victim.addr).copied() {
+                        if let Some(hl) = self.l1s[h.index()].peek(victim.addr).copied() {
                             if hl.is_epoch_tagged() {
                                 blocked = Some(hl.tag.expect("tagged"));
                                 break;
@@ -408,8 +384,7 @@ impl System {
                                 merged = hl.value;
                                 dirty = true;
                             }
-                            self.l1s[h.index()].array.remove(victim.addr);
-                            self.l1s[h.index()].exclusive.remove(&victim.addr);
+                            self.l1s[h.index()].remove(victim.addr);
                         }
                         self.banks[bi].dir.drop_core(victim.addr, h);
                     }
@@ -425,7 +400,7 @@ impl System {
                         let now = self.now;
                         let mc = self.mc_of(victim.addr);
                         let t_mc = self.send_msg(
-                            Self::node_bank(bank),
+                            NodeId::Bank(bank),
                             NodeId::Mc(mc),
                             MessageClass::Writeback,
                             now,
@@ -445,14 +420,14 @@ impl System {
     /// without losing an un-persisted epoch's value.
     fn l1_make_room(&mut self, core: CoreId, line: LineAddr) -> Result<(), EpochTag> {
         let i = core.index();
-        let (victim_addr, victim) = match self.l1s[i].array.victim_for(line) {
+        let (victim_addr, victim) = match self.l1s[i].victim_for(line) {
             VictimChoice::Room => return Ok(()),
             VictimChoice::Evict(v) => (v.addr, v),
             VictimChoice::EpochBlocked { line: vaddr, .. } => {
                 // An epoch-tagged L1 victim is *evictable*: it writes back
                 // to the LLC with its tag (the paper's natural-replacement
                 // path); only LLC->NVRAM eviction is ordering-constrained.
-                let v = *self.l1s[i].array.peek(vaddr).expect("victim resident");
+                let v = *self.l1s[i].peek(vaddr).expect("victim resident");
                 (vaddr, v)
             }
         };
@@ -461,14 +436,13 @@ impl System {
             self.llc_accept_writeback(vb, victim_addr, victim.value, victim.tag)?;
             let now = self.now;
             self.send_msg(
-                Self::node_core(core),
-                Self::node_bank(vb),
+                NodeId::Core(core),
+                NodeId::Bank(vb),
                 MessageClass::Writeback,
                 now,
             );
         }
-        self.l1s[i].array.remove(victim_addr);
-        self.l1s[i].exclusive.remove(&victim_addr);
+        self.l1s[i].remove(victim_addr);
         let vb = self.bank_of(victim_addr);
         self.banks[vb.index()].dir.drop_core(victim_addr, core);
         Ok(())

@@ -5,19 +5,9 @@ use crate::event::Event;
 use crate::system::System;
 use pbm_core::{Protocol, Step};
 use pbm_noc::MessageClass;
-use pbm_types::{
-    BankId, CoreId, EpochTag, FlushMode, FlushReason, LineAddr, McId, NodeId, TraceEventKind,
-};
+use pbm_types::{BankId, EpochTag, FlushMode, FlushReason, LineAddr, McId, NodeId, TraceEventKind};
 
 impl System {
-    pub(crate) fn node_core(core: CoreId) -> NodeId {
-        NodeId::Core(core)
-    }
-
-    pub(crate) fn node_bank(bank: BankId) -> NodeId {
-        NodeId::Bank(bank)
-    }
-
     /// The memory controller owning `line`. Decorrelated from the bank
     /// interleaving (which consumes the low bits) so one bank's flush
     /// traffic spreads across controllers.
@@ -77,8 +67,8 @@ impl System {
                 let now = self.now;
                 for b in 0..self.cfg.llc_banks {
                     self.send_msg(
-                        Self::node_core(tag.core),
-                        Self::node_bank(BankId::new(b as u32)),
+                        NodeId::Core(tag.core),
+                        NodeId::Bank(BankId::new(b as u32)),
                         MessageClass::Control,
                         now,
                     );
@@ -86,10 +76,8 @@ impl System {
             }
             Step::Persisted(tag, reason) => self.on_epoch_persisted(tag, reason),
             Step::Wake(tag) => {
-                if let Some(ws) = self.waiters.remove(&tag) {
-                    for c in ws {
-                        self.queue.schedule(self.now + 1, Event::Step(c));
-                    }
+                for c in self.waiters.remove(&tag).unwrap_or_default() {
+                    self.queue.schedule(self.now + 1, Event::Step(c));
                 }
             }
         }
@@ -103,7 +91,7 @@ impl System {
         let i = core.index();
         let t0 = self.now;
         let nbanks = self.cfg.llc_banks;
-        self.flush_started.insert(tag, t0);
+        self.cores[i].flush_started = t0;
         if self.obs.is_enabled() {
             self.emit(pbm_types::TraceEventKind::FlushEpoch { tag, reason });
             self.emit(pbm_types::TraceEventKind::EpochPhase {
@@ -119,7 +107,7 @@ impl System {
             for k in 0..lines {
                 let mc = McId::new((k % self.cfg.mcs as u64) as u32);
                 let t_mc = self.send_msg(
-                    Self::node_core(core),
+                    NodeId::Core(core),
                     NodeId::Mc(mc),
                     MessageClass::Writeback,
                     t0,
@@ -128,7 +116,7 @@ impl System {
                 self.stats.checkpoint_writes += 1;
                 let t_ack = self.send_msg(
                     NodeId::Mc(mc),
-                    Self::node_core(core),
+                    NodeId::Core(core),
                     MessageClass::Control,
                     done,
                 );
@@ -157,17 +145,13 @@ impl System {
         arrivals.resize(nbanks, t0);
         let mut l1_lines = std::mem::take(&mut self.scratch.l1_lines);
         l1_lines.clear();
-        self.l1s[i].array.lines_of_epoch_into(tag, &mut l1_lines);
+        self.l1s[i].lines_of_epoch_into(tag, &mut l1_lines);
         for &line in &l1_lines {
-            let value = self.l1s[i]
-                .array
-                .peek(line)
-                .expect("indexed line resident")
-                .value;
+            let value = self.l1s[i].peek(line).expect("indexed line resident").value;
             let b = self.bank_of(line);
             let t_arr = self.send_msg(
-                Self::node_core(core),
-                Self::node_bank(b),
+                NodeId::Core(core),
+                NodeId::Bank(b),
                 MessageClass::Writeback,
                 t0,
             );
@@ -211,8 +195,8 @@ impl System {
             let bi = (k + rot) % nbanks;
             let b = BankId::new(bi as u32);
             let t_fe = self.send_msg(
-                Self::node_core(core),
-                Self::node_bank(b),
+                NodeId::Core(core),
+                NodeId::Bank(b),
                 MessageClass::Control,
                 t0,
             );
@@ -239,7 +223,7 @@ impl System {
             for &(line, value) in &per_bank[bi] {
                 let mc = self.mc_of(line);
                 let t_mc = self.send_msg(
-                    Self::node_bank(b),
+                    NodeId::Bank(b),
                     NodeId::Mc(mc),
                     MessageClass::Writeback,
                     start,
@@ -248,12 +232,8 @@ impl System {
                 self.nvram.persist(line, value, t_w);
                 self.stats.nvram_writes += 1;
                 self.stats.epoch_flush_writes += 1;
-                let t_ack = self.send_msg(
-                    NodeId::Mc(mc),
-                    Self::node_bank(b),
-                    MessageClass::Control,
-                    t_w,
-                );
+                let t_ack =
+                    self.send_msg(NodeId::Mc(mc), NodeId::Bank(b), MessageClass::Control, t_w);
                 if self.obs.is_enabled() {
                     self.obs.record(pbm_types::TraceEvent::new(
                         start,
@@ -271,17 +251,15 @@ impl System {
                 done = done.max(t_ack);
             }
             let t_ba = self.send_msg(
-                Self::node_bank(b),
-                Self::node_core(core),
+                NodeId::Bank(b),
+                NodeId::Core(core),
                 MessageClass::Control,
                 done,
             );
             self.queue
                 .schedule(t_ba, Event::BankAck(core, tag.epoch, b));
         }
-        for bucket in per_bank.iter_mut() {
-            bucket.clear();
-        }
+        per_bank.iter_mut().for_each(Vec::clear);
         self.scratch.per_bank = per_bank;
         self.scratch.arrivals = arrivals;
     }
@@ -293,15 +271,14 @@ impl System {
         let i = tag.core.index();
         let mut lines = std::mem::take(&mut self.scratch.lines);
         lines.clear();
-        self.l1s[i].array.lines_of_epoch_into(tag, &mut lines);
+        self.l1s[i].lines_of_epoch_into(tag, &mut lines);
         for &line in &lines {
             if invalidating {
-                self.l1s[i].array.remove(line);
-                self.l1s[i].exclusive.remove(&line);
+                self.l1s[i].remove(line);
                 let b = self.bank_of(line);
                 self.banks[b.index()].dir.drop_core(line, tag.core);
             } else {
-                self.l1s[i].array.mark_written_back(line);
+                self.l1s[i].mark_written_back(line);
             }
         }
         for bi in 0..self.banks.len() {
@@ -330,8 +307,7 @@ impl System {
             .dir
             .holders_into(line, &mut holders);
         for &h in &holders {
-            self.l1s[h.index()].array.remove(line);
-            self.l1s[h.index()].exclusive.remove(&line);
+            self.l1s[h.index()].remove(line);
             self.banks[bank.index()].dir.drop_core(line, h);
         }
         self.put_core_buf(holders);
@@ -351,11 +327,10 @@ impl System {
         }
         self.clear_epoch_lines(tag);
         self.stats.epochs_persisted += 1;
-        if let Some(start) = self.flush_started.remove(&tag) {
-            self.stats
-                .epoch_flush_latency
-                .record((now - start).as_u64());
-        }
+        let start = self.cores[tag.core.index()].flush_started;
+        self.stats
+            .epoch_flush_latency
+            .record((now - start).as_u64());
         match reason {
             FlushReason::Conflict => self.stats.epochs_conflict_flushed += 1,
             FlushReason::Eviction => self.stats.epochs_eviction_flushed += 1,
@@ -366,7 +341,7 @@ impl System {
         if self.sem.needs_logging() && self.cfg.logging {
             let mc = McId::new((tag.epoch.as_u64() % self.cfg.mcs as u64) as u32);
             let t_mc = self.send_msg(
-                Self::node_core(tag.core),
+                NodeId::Core(tag.core),
                 NodeId::Mc(mc),
                 MessageClass::Control,
                 now,

@@ -37,7 +37,7 @@
 use crate::access::Access;
 use crate::event::Event;
 use crate::system::{StepOutcome, System};
-use pbm_types::{Addr, CoreId, Cycle, LineAddr, StallKind};
+use pbm_types::{Addr, CoreId, Cycle, LineAddr};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -328,10 +328,7 @@ impl System {
                         self.stats.stores += 1;
                         StepOutcome::Next(at)
                     }
-                    Access::Blocked { tag } => {
-                        self.park(core, tag, StallKind::OnlinePersist);
-                        StepOutcome::Blocked
-                    }
+                    Access::Blocked { tag } => self.park_access(core, tag),
                 }
             }
         }
@@ -353,10 +350,7 @@ impl System {
                 self.stats.stores += 1;
                 StepOutcome::Next(self.now + 1)
             }
-            Access::Blocked { tag } => {
-                self.park(core, tag, StallKind::OnlinePersist);
-                StepOutcome::Blocked
-            }
+            Access::Blocked { tag } => self.park_access(core, tag),
         }
     }
 

@@ -9,6 +9,7 @@
 
 use pbm_obs::json::JsonValue;
 use pbm_types::Addr;
+use std::sync::Arc;
 
 /// One operation in a core's program.
 ///
@@ -44,9 +45,13 @@ pub enum Op {
 }
 
 /// An immutable per-core operation sequence.
+///
+/// The ops are shared, not owned: cloning a `Program` (as every
+/// `System::new(cfg, wl.programs.clone())` does) copies a pointer, so a
+/// grid of cells over one workload holds its ops once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
 }
 
 impl Program {
@@ -272,7 +277,7 @@ impl ProgramBuilder {
     /// Finalizes the program.
     pub fn build(&self) -> Program {
         Program {
-            ops: self.ops.clone(),
+            ops: self.ops.as_slice().into(),
         }
     }
 }
@@ -311,6 +316,14 @@ mod tests {
         let p = Program::empty();
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
+    }
+
+    #[test]
+    fn clones_share_the_ops() {
+        // Every grid cell builds its `System` from a clone of the
+        // workload's programs; set-up must not copy the workload.
+        let p: Program = std::iter::repeat_n(Op::Barrier, 64).collect();
+        assert_eq!(p.clone().ops().as_ptr(), p.ops().as_ptr());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::event::{Event, EventQueue};
 use crate::lock::Locks;
 use crate::op::{Op, Program};
-use pbm_cache::CacheArray;
+use pbm_cache::{CacheArray, CacheLine, VictimChoice};
 use pbm_core::recovery::ConsistencyChecker;
 use pbm_core::{Barrier, BarrierSemantics, Protocol, Step};
 use pbm_noc::{Mesh, MessageClass};
@@ -14,7 +14,7 @@ use pbm_types::{
     MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent, TraceEventKind,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Byte addresses at or above this boundary are *volatile*: never epoch
 /// tagged, never logged, excluded from persistence checking. Workloads put
@@ -22,7 +22,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// persistence) the boundary is ignored and everything is tagged.
 pub const VOLATILE_BASE: u64 = 1 << 40;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct CoreState {
     pub program: Program,
     pub pc: usize,
@@ -38,21 +38,9 @@ pub(crate) struct CoreState {
     pub finish: Option<Cycle>,
     /// Set while parked on an epoch persist: (since, kind).
     pub stalled: Option<(Cycle, StallKind)>,
-}
-
-impl CoreState {
-    fn new(program: Program) -> Self {
-        CoreState {
-            program,
-            pc: 0,
-            wb: BinaryHeap::new(),
-            epoch_stores: 0,
-            pending_auto_barrier: false,
-            barrier_wait: None,
-            finish: None,
-            stalled: None,
-        }
-    }
+    /// When this core's in-flight epoch flush started (for the latency
+    /// histogram). The protocol runs at most one flush per core.
+    pub flush_started: Cycle,
 }
 
 /// Reusable scratch buffers for the access/flush hot paths. Every buffer
@@ -77,13 +65,6 @@ pub(crate) struct Scratch {
 }
 
 #[derive(Debug)]
-pub(crate) struct L1State {
-    pub array: CacheArray,
-    /// Lines this L1 holds with write permission.
-    pub exclusive: HashSet<LineAddr>,
-}
-
-#[derive(Debug)]
 pub(crate) struct BankState {
     pub array: CacheArray,
     pub dir: pbm_cache::Directory,
@@ -103,7 +84,9 @@ pub struct System {
     pub(crate) nvram: NvramDevice,
     pub(crate) log: UndoLog,
     pub(crate) cores: Vec<CoreState>,
-    pub(crate) l1s: Vec<L1State>,
+    /// Each core's private L1. Which L1 may write a line is the
+    /// directory's owner field, not L1 state.
+    pub(crate) l1s: Vec<CacheArray>,
     pub(crate) banks: Vec<BankState>,
     /// Every core's epoch arbiter and the cross-core flush decisions.
     pub(crate) protocol: Protocol,
@@ -111,10 +94,9 @@ pub struct System {
     pub(crate) steps: Vec<Step>,
     /// Architecturally-atomic spin locks and the cores spinning on them.
     pub(crate) locks: Locks,
-    /// Cores parked until the given epoch persists.
-    pub(crate) waiters: HashMap<EpochTag, Vec<CoreId>>,
-    /// Flush start time per in-flight epoch (for the latency histogram).
-    pub(crate) flush_started: HashMap<EpochTag, Cycle>,
+    /// Cores parked until the given epoch persists, in tag order so
+    /// wedge reports print the same text on every run.
+    pub(crate) waiters: BTreeMap<EpochTag, Vec<CoreId>>,
     /// BSP: cycle by which an epoch's undo-log records are durable.
     pub(crate) log_ready: HashMap<EpochTag, Cycle>,
     pub(crate) queue: EventQueue,
@@ -160,10 +142,7 @@ impl System {
             .collect();
         let bank_shift = (cfg.llc_banks as u64).trailing_zeros();
         let l1s = (0..cfg.cores)
-            .map(|_| L1State {
-                array: CacheArray::new(cfg.l1_sets(), cfg.l1_assoc, 0),
-                exclusive: HashSet::new(),
-            })
+            .map(|_| CacheArray::new(cfg.l1_sets(), cfg.l1_assoc, 0))
             .collect();
         let banks = (0..cfg.llc_banks)
             .map(|_| BankState {
@@ -178,19 +157,19 @@ impl System {
             mcs,
             nvram: NvramDevice::new(),
             log: UndoLog::new(),
-            cores: programs.into_iter().map(CoreState::new).collect(),
+            cores: programs
+                .into_iter()
+                .map(|program| CoreState {
+                    program,
+                    ..CoreState::default()
+                })
+                .collect(),
             l1s,
             banks,
             protocol: Protocol::new(&cfg),
-            // Room for a typical protocol call's steps. Allocating it here
-            // also matters to set-up time: once freed, this small buffer
-            // stays cached by the allocator above the cache arrays, so
-            // dropping a `System` does not trim the heap and the next
-            // `System::new` need not fault those pages back in.
-            steps: Vec::with_capacity(16),
+            steps: Vec::new(),
             locks: Locks::new(cfg.cores),
-            waiters: HashMap::new(),
-            flush_started: HashMap::new(),
+            waiters: BTreeMap::new(),
             log_ready: HashMap::new(),
             queue: EventQueue::new(),
             events: 0,
@@ -493,7 +472,7 @@ impl System {
             let core = CoreId::new(i as u32);
             // Close the ongoing epoch if it dirtied anything.
             let tag = self.protocol.current_tag(core);
-            let has_lines = self.l1s[i].array.epoch_len(tag) > 0
+            let has_lines = self.l1s[i].epoch_len(tag) > 0
                 || self.banks.iter().any(|b| b.array.epoch_len(tag) > 0);
             self.run_protocol(|p, out| p.drain(core, has_lines, out));
         }
@@ -612,17 +591,12 @@ impl System {
         self.nvram.persist(line, token, Cycle::ZERO);
         let bank = self.bank_of(line);
         let bi = bank.index();
-        if !self.banks[bi].array.contains(line) {
-            // Room is guaranteed unless a workload preloads more than the
-            // LLC holds; fall back to leaving the line in NVRAM only.
-            if matches!(
-                self.banks[bi].array.victim_for(line),
-                pbm_cache::VictimChoice::Room
-            ) {
-                self.banks[bi]
-                    .array
-                    .install(pbm_cache::CacheLine::clean(line, token));
-            }
+        // Room is guaranteed unless a workload preloads more than the LLC
+        // holds; fall back to leaving the line in NVRAM only.
+        if !self.banks[bi].array.contains(line)
+            && matches!(self.banks[bi].array.victim_for(line), VictimChoice::Room)
+        {
+            self.banks[bi].array.install(CacheLine::clean(line, token));
         }
         if let Some(ck) = self.checker.as_mut() {
             ck.record_initial(line, token);
@@ -653,12 +627,9 @@ impl System {
         }
         // A hardware epoch cut is due before anything else.
         if self.cores[i].pending_auto_barrier {
-            match self.exec_barrier(core) {
-                BarrierOutcome::Done(at) => {
-                    self.cores[i].pending_auto_barrier = false;
-                    self.queue.schedule(at, Event::Step(core));
-                }
-                BarrierOutcome::Blocked => {}
+            if let StepOutcome::Next(at) = self.exec_barrier(core) {
+                self.cores[i].pending_auto_barrier = false;
+                self.queue.schedule(at, Event::Step(core));
             }
             return;
         }
@@ -694,16 +665,10 @@ impl System {
                     self.stats.load_cycles += (at - now).as_u64();
                     StepOutcome::Next(at)
                 }
-                crate::access::Access::Blocked { tag } => {
-                    self.park(core, tag, StallKind::OnlinePersist);
-                    StepOutcome::Blocked
-                }
+                crate::access::Access::Blocked { tag } => self.park_access(core, tag),
             },
             Op::Store(addr, value) => self.exec_store(core, addr, value),
-            Op::Barrier => match self.exec_barrier(core) {
-                BarrierOutcome::Done(at) => StepOutcome::Next(at),
-                BarrierOutcome::Blocked => StepOutcome::Blocked,
-            },
+            Op::Barrier => self.exec_barrier(core),
             Op::Lock(addr) => self.exec_lock(core, addr),
             Op::Unlock(addr) => self.exec_unlock(core, addr),
         }
@@ -713,15 +678,12 @@ impl System {
         let i = core.index();
         let now = self.now;
         // Write-buffer occupancy.
-        while let Some(&Reverse(t)) = self.cores[i].wb.peek() {
-            if Cycle::new(t) <= now {
-                self.cores[i].wb.pop();
-            } else {
-                break;
-            }
+        let wb = &mut self.cores[i].wb;
+        while wb.peek().is_some_and(|&Reverse(t)| t <= now.as_u64()) {
+            wb.pop();
         }
-        if self.cores[i].wb.len() >= self.cfg.write_buffer {
-            let Reverse(first_free) = *self.cores[i].wb.peek().expect("buffer nonempty");
+        if wb.len() >= self.cfg.write_buffer {
+            let Reverse(first_free) = *wb.peek().expect("buffer nonempty");
             return StepOutcome::RetryAt(Cycle::new(first_free));
         }
         match self.do_access(core, addr.line(), Some(value)) {
@@ -741,37 +703,34 @@ impl System {
                 }
                 StepOutcome::Next(now + 1)
             }
-            crate::access::Access::Blocked { tag } => {
-                self.park(core, tag, StallKind::OnlinePersist);
-                StepOutcome::Blocked
-            }
+            crate::access::Access::Blocked { tag } => self.park_access(core, tag),
         }
     }
 
-    pub(crate) fn exec_barrier(&mut self, core: CoreId) -> BarrierOutcome {
+    pub(crate) fn exec_barrier(&mut self, core: CoreId) -> StepOutcome {
         let i = core.index();
         if !self.epochs_enabled() {
             // NP / write-through: a barrier is a no-op (WT is already
             // strictly ordered).
             self.stats.barriers += 1;
-            return BarrierOutcome::Done(self.now + 1);
+            return StepOutcome::Next(self.now + 1);
         }
         // Resuming an EP-stalled barrier: the epoch was already closed.
         if let Some(e) = self.cores[i].barrier_wait {
             if self.protocol.is_persisted(EpochTag::new(core, e)) {
                 self.cores[i].barrier_wait = None;
-                return BarrierOutcome::Done(self.now + 1);
+                return StepOutcome::Next(self.now + 1);
             }
             let tag = EpochTag::new(core, e);
             self.park(core, tag, StallKind::Barrier);
-            return BarrierOutcome::Blocked;
+            return StepOutcome::Blocked;
         }
         let closed = match self.run_protocol(|p, out| p.barrier(core, out)) {
             Barrier::Closed(closed) => closed,
             Barrier::WindowFull(frontier) => {
                 // 3-bit epoch-id window is full: wait for the frontier.
                 self.park(core, frontier, StallKind::Barrier);
-                return BarrierOutcome::Blocked;
+                return StepOutcome::Blocked;
             }
         };
         self.stats.barriers += 1;
@@ -781,9 +740,9 @@ impl System {
             // flush the protocol has requested.
             self.cores[i].barrier_wait = Some(closed);
             self.park(core, tag, StallKind::Barrier);
-            return BarrierOutcome::Blocked;
+            return StepOutcome::Blocked;
         }
-        BarrierOutcome::Done(self.now + 1)
+        StepOutcome::Next(self.now + 1)
     }
 
     /// Borrows a core-list scratch buffer from the pool (empty).
@@ -809,9 +768,16 @@ impl System {
         self.emit(TraceEventKind::StallBegin { core, kind, tag });
         self.waiters.entry(tag).or_default().push(core);
     }
+
+    /// Parks `core` until the epoch a blocked access waits for persists.
+    pub(crate) fn park_access(&mut self, core: CoreId, tag: EpochTag) -> StepOutcome {
+        self.park(core, tag, StallKind::OnlinePersist);
+        StepOutcome::Blocked
+    }
 }
 
-/// Outcome of executing one op.
+/// Outcome of executing one op or a hardware epoch cut (a barrier never
+/// retries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
     Next(Cycle),
@@ -819,9 +785,26 @@ pub(crate) enum StepOutcome {
     Blocked,
 }
 
-/// Outcome of a (possibly hardware-inserted) persist barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BarrierOutcome {
-    Done(Cycle),
-    Blocked,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wedge_reports_list_waiters_in_tag_order() {
+        // A wedge's panic text lands in corpus artifacts, so it must not
+        // depend on hash order: park in reverse tag order, print sorted.
+        let mut sys = System::new(SystemConfig::small_test(), Vec::new()).expect("valid");
+        let tags: Vec<EpochTag> = (0..4)
+            .map(|c| EpochTag::new(CoreId::new(c), EpochId::new(0)))
+            .collect();
+        for (c, &tag) in tags.iter().rev().enumerate() {
+            sys.park(CoreId::new(c as u32), tag, StallKind::Barrier);
+        }
+        let waiters = format!("\nwaiters: {tags:?}\n");
+        assert!(
+            sys.debug_state().contains(&waiters),
+            "{}",
+            sys.debug_state()
+        );
+    }
 }
