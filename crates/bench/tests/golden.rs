@@ -2,8 +2,8 @@
 //! `--quick --jobs=1` into a string and must equal
 //! `tests/golden/<name>-quick.txt`. `profile_bsp`'s per-cell host
 //! wall-clock (`wall=…`) is the one nondeterministic field; it is masked
-//! as `wall=_` on both sides. The fig11 grid's persist-latency attribution
-//! (`BENCH_prof.json`) is pinned the same way, against
+//! as `wall=_` on both sides. The fig11 and fig14 grids' persist-latency
+//! attribution (`BENCH_prof.json`) is pinned the same way, against
 //! `results/baselines/`.
 
 use pbm_bench::experiments::{self, EXPERIMENTS};
@@ -38,16 +38,15 @@ fn every_experiment_matches_its_quick_golden() {
     }
 }
 
-/// `exp fig11 --quick --prof-out=DIR` writes `DIR/BENCH_prof.json` equal,
-/// byte for byte, to `results/baselines/BENCH_prof.json`: the simulated
-/// persist-latency attribution of every fig11 cell is pinned. To refresh
-/// the baseline after a deliberate model change, run
-/// `exp fig11 --quick --prof-out=D` and copy `D/BENCH_prof.json` there.
-#[test]
-fn bench_prof_matches_the_committed_baseline() {
-    let dir = std::env::temp_dir().join(format!("pbm-golden-prof-{}", std::process::id()));
+/// `exp <grid> --quick --prof-out=DIR` writes `DIR/BENCH_prof.json` equal,
+/// byte for byte, to `results/baselines/<baseline>`: the simulated
+/// persist-latency attribution of every cell of the grid is pinned. To
+/// refresh a baseline after a deliberate model change, run
+/// `exp <grid> --quick --prof-out=D` and copy `D/BENCH_prof.json` there.
+fn assert_bench_prof_matches(grid: &str, baseline: &str) {
+    let dir = std::env::temp_dir().join(format!("pbm-golden-prof-{grid}-{}", std::process::id()));
     let args = [
-        "fig11".to_string(),
+        grid.to_string(),
         "--quick".into(),
         "--jobs=2".into(),
         "--no-runner-json".into(),
@@ -56,11 +55,11 @@ fn bench_prof_matches_the_committed_baseline() {
     let (exp, opts) = experiments::parse(&args).expect("valid command line");
     exp.run(&opts, &mut std::io::sink()).expect("render");
     let got = std::fs::read_to_string(dir.join("BENCH_prof.json")).expect("BENCH_prof.json");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/baselines/BENCH_prof.json"
+    let path = format!(
+        "{}/../../results/baselines/{baseline}",
+        env!("CARGO_MANIFEST_DIR")
     );
-    let want = std::fs::read_to_string(path).expect("baseline");
+    let want = std::fs::read_to_string(&path).expect("baseline");
     let _ = std::fs::remove_dir_all(&dir);
     if got == want {
         return;
@@ -89,4 +88,17 @@ fn bench_prof_matches_the_committed_baseline() {
             want_cells.len()
         ),
     }
+}
+
+/// The fig11 (BEP) grid against `results/baselines/BENCH_prof.json`.
+#[test]
+fn bench_prof_matches_the_committed_baseline() {
+    assert_bench_prof_matches("fig11", "BENCH_prof.json");
+}
+
+/// The fig14 (BSP) grid against `results/baselines/BENCH_prof_fig14.json`:
+/// pins the undo-log, epoch-index and flush-cascade path of bulk mode.
+#[test]
+fn bench_prof_fig14_matches_the_committed_baseline() {
+    assert_bench_prof_matches("fig14", "BENCH_prof_fig14.json");
 }
