@@ -7,8 +7,7 @@
 //! tracks a sharer bitmask and an optional exclusive owner per LLC-resident
 //! line — the minimal state for those two jobs.
 
-use pbm_types::{CoreId, LineAddr, MAX_CORES};
-use std::collections::HashMap;
+use pbm_types::{CoreId, FastMap, LineAddr, MAX_CORES};
 
 // `SystemConfig::validate` caps the core count so every core has a bit.
 const _: () = assert!(MAX_CORES <= u64::BITS as usize);
@@ -43,7 +42,7 @@ impl DirEntry {
 /// exist only for lines the controller chooses to track).
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<LineAddr, DirEntry>,
+    entries: FastMap<LineAddr, DirEntry>,
 }
 
 impl Directory {

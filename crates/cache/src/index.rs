@@ -1,18 +1,18 @@
 //! Exact per-epoch line index.
 
-use pbm_types::{EpochTag, LineAddr};
-use std::collections::{BTreeSet, HashMap};
+use pbm_types::{EpochTag, FastMap, LineAddr};
 
 /// Tracks, per epoch, exactly which resident lines it dirtied.
 ///
 /// The paper's flush engine keeps a per-epoch bitmap over cache sets
-/// (1 bit per 64 sets, §4.3) and scans the marked sets when flushing. The simulator uses this exact index for the actual
-/// line enumeration — same answer as the hardware's scan, without the
-/// simulation cost of walking sets. Lines are kept sorted so flush order is
-/// deterministic.
+/// (1 bit per 64 sets, §4.3) and scans the marked sets when flushing. The
+/// simulator uses this exact index for the actual line enumeration — same
+/// answer as the hardware's scan, without the simulation cost of walking
+/// sets. Each epoch's lines are one `Vec` kept in address order by binary
+/// search, so flush order is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct EpochIndex {
-    by_epoch: HashMap<EpochTag, BTreeSet<LineAddr>>,
+    by_epoch: FastMap<EpochTag, Vec<LineAddr>>,
 }
 
 impl EpochIndex {
@@ -23,16 +23,21 @@ impl EpochIndex {
 
     /// Records that `tag` dirtied `line`.
     pub fn add(&mut self, tag: EpochTag, line: LineAddr) {
-        self.by_epoch.entry(tag).or_default().insert(line);
+        let lines = self.by_epoch.entry(tag).or_default();
+        if let Err(i) = lines.binary_search(&line) {
+            lines.insert(i, line);
+        }
     }
 
     /// Removes `line` from `tag` (written back or retagged). No-op if
     /// absent.
     pub fn remove(&mut self, tag: EpochTag, line: LineAddr) {
-        if let Some(set) = self.by_epoch.get_mut(&tag) {
-            set.remove(&line);
-            if set.is_empty() {
-                self.by_epoch.remove(&tag);
+        if let Some(lines) = self.by_epoch.get_mut(&tag) {
+            if let Ok(i) = lines.binary_search(&line) {
+                lines.remove(i);
+                if lines.is_empty() {
+                    self.by_epoch.remove(&tag);
+                }
             }
         }
     }
@@ -41,14 +46,14 @@ impl EpochIndex {
     /// Allocation-free when `out` has capacity — the flush hot path reuses
     /// one scratch buffer across epochs.
     pub fn lines_into(&self, tag: EpochTag, out: &mut Vec<LineAddr>) {
-        if let Some(set) = self.by_epoch.get(&tag) {
-            out.extend(set.iter().copied());
+        if let Some(lines) = self.by_epoch.get(&tag) {
+            out.extend_from_slice(lines);
         }
     }
 
     /// Number of lines attributed to `tag`.
     pub fn len(&self, tag: EpochTag) -> usize {
-        self.by_epoch.get(&tag).map_or(0, BTreeSet::len)
+        self.by_epoch.get(&tag).map_or(0, Vec::len)
     }
 
     /// True if no line is attributed to `tag`.

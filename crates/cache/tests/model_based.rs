@@ -1,12 +1,13 @@
 //! Model-based property test: `CacheArray` against a naive reference
 //! model. The reference keeps plain per-set vectors in MRU order and
 //! recomputes everything by scanning; the array must agree after every
-//! operation, including its internal epoch index.
+//! operation, including its internal epoch index. `EpochIndex` is also
+//! checked on its own against a `BTreeMap` of `BTreeSet`s.
 
-use pbm_cache::{CacheArray, CacheLine, LineState, VictimChoice};
+use pbm_cache::{CacheArray, CacheLine, EpochIndex, LineState, VictimChoice};
 use pbm_types::{CoreId, EpochId, EpochTag, LineAddr};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const SETS: usize = 4;
 const ASSOC: usize = 2;
@@ -196,6 +197,41 @@ proptest! {
                         .map(|s| s.len() == ASSOC && s.iter().all(|l| l.is_epoch_tagged()))
                         .unwrap_or(false);
                     prop_assert!(all_tagged, "EpochBlocked with evictable ways");
+                }
+            }
+        }
+    }
+
+    /// Adds and removes over a few epochs and lines, so duplicate adds and
+    /// removes of absent lines are common.
+    #[test]
+    fn epoch_index_agrees_with_btree_reference(
+        ops in proptest::collection::vec((any::<bool>(), 0u32..2, 0u64..3, 0u64..24), 1..200)
+    ) {
+        let mut index = EpochIndex::new();
+        let mut model: BTreeMap<EpochTag, BTreeSet<LineAddr>> = BTreeMap::new();
+        let mut lines = Vec::new();
+        for (add, c, e, l) in ops {
+            let (t, line) = (tag((c, e)), LineAddr::new(l));
+            if add {
+                index.add(t, line);
+                model.entry(t).or_default().insert(line);
+            } else {
+                index.remove(t, line);
+                if let Some(set) = model.get_mut(&t) {
+                    set.remove(&line);
+                }
+            }
+            for c in 0..2u32 {
+                for e in 0..3u64 {
+                    let t = tag((c, e));
+                    let want: Vec<LineAddr> =
+                        model.get(&t).into_iter().flatten().copied().collect();
+                    lines.clear();
+                    index.lines_into(t, &mut lines);
+                    prop_assert_eq!(&lines, &want, "lines of {}", t);
+                    prop_assert_eq!(index.len(t), want.len());
+                    prop_assert_eq!(index.is_empty(t), want.is_empty());
                 }
             }
         }

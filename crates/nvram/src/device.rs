@@ -1,7 +1,7 @@
 //! The NVRAM device: durable line store with optional write history.
 
 use crate::crash::DurableSnapshot;
-use pbm_types::{Cycle, LineAddr};
+use pbm_types::{Cycle, FastMap, LineAddr};
 use std::collections::HashMap;
 
 /// The modelled contents of one 64-byte line: an opaque token.
@@ -20,7 +20,7 @@ pub type LineValue = u64;
 /// all crash-consistency checking in this repository is built.
 #[derive(Debug, Clone, Default)]
 pub struct NvramDevice {
-    lines: HashMap<LineAddr, LineValue>,
+    lines: FastMap<LineAddr, LineValue>,
     history: Option<Vec<(Cycle, LineAddr, LineValue)>>,
 }
 

@@ -7,7 +7,7 @@
 //! is applied in reverse to undo partially-persisted epochs.
 
 use crate::device::LineValue;
-use pbm_types::{Cycle, EpochTag, LineAddr};
+use pbm_types::{Cycle, EpochTag, FastMap, LineAddr};
 
 /// One undo-log entry: the pre-image of a line modified by an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +30,13 @@ pub struct LogRecord {
 ///
 /// The log is *modelled* logically here; the NVRAM write traffic it causes
 /// is accounted by the simulator (each append and each commit marker is a
-/// line write through a memory controller).
+/// line write through a memory controller). Each epoch with uncommitted
+/// records keeps the indices of those records, so a commit touches only
+/// its own epoch's records, not the whole log.
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
     records: Vec<LogRecord>,
+    open: FastMap<EpochTag, Vec<usize>>,
 }
 
 impl UndoLog {
@@ -64,6 +67,7 @@ impl UndoLog {
             .records
             .last()
             .map_or(durable_at, |r| durable_at.max(r.durable_at));
+        self.open.entry(tag).or_default().push(self.records.len());
         self.records.push(LogRecord {
             tag,
             line,
@@ -74,11 +78,12 @@ impl UndoLog {
         durable_at
     }
 
-    /// Marks every record of `tag` committed, with the commit marker
-    /// durable at `at`. Idempotent per epoch.
+    /// Marks every uncommitted record of `tag` committed, with the commit
+    /// marker durable at `at`. Idempotent per epoch: a record keeps the
+    /// first commit time it got.
     pub fn commit_epoch(&mut self, tag: EpochTag, at: Cycle) {
-        for r in self.records.iter_mut().filter(|r| r.tag == tag) {
-            r.committed_at.get_or_insert(at);
+        for i in self.open.remove(&tag).unwrap_or_default() {
+            self.records[i].committed_at = Some(at);
         }
     }
 
@@ -150,5 +155,35 @@ mod tests {
         log.commit_epoch(tag(0, 1), Cycle::new(3));
         let r = log.records()[0];
         assert_eq!(r.committed_at, Some(Cycle::new(2)), "first commit wins");
+    }
+
+    #[test]
+    fn commit_touches_only_its_epoch_among_interleaved_ones() {
+        let (a, b, c) = (tag(0, 1), tag(1, 1), tag(0, 2));
+        let mut log = UndoLog::new();
+        for (i, t) in [a, b, c, b, a, c, b].into_iter().enumerate() {
+            log.append(
+                t,
+                LineAddr::new(i as u64),
+                Some(i as u64),
+                Cycle::new(i as u64),
+            );
+        }
+        let pending = |log: &UndoLog, t: EpochTag| {
+            let at = Cycle::new(100);
+            log.pending_at(at).filter(|r| r.tag == t).count()
+        };
+        let (before_a, before_c) = (pending(&log, a), pending(&log, c));
+        log.commit_epoch(b, Cycle::new(50));
+        log.commit_epoch(b, Cycle::new(60));
+        for r in log.records() {
+            let want = (r.tag == b).then_some(Cycle::new(50));
+            assert_eq!(r.committed_at, want, "{r:?}");
+        }
+        assert_eq!(pending(&log, a), before_a);
+        assert_eq!(pending(&log, c), before_c);
+        assert_eq!(pending(&log, b), 0);
+        // Before b's marker was durable, its three records are pending.
+        assert_eq!(log.pending_at(Cycle::new(49)).count(), 7);
     }
 }

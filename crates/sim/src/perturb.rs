@@ -42,7 +42,7 @@ impl SchedulePerturbation {
             seed: 0,
             noc_jitter: 0,
             mc_jitter: 0,
-            bank_rotation: true,
+            bank_rotation: false,
         }
     }
 
@@ -107,7 +107,7 @@ impl System {
                 p.seed ^ 0x6D63_5F6A_6974_7465 ^ ((i as u64) << 48),
             );
         }
-        self.perturb = if p.bank_rotation && !p.is_none() {
+        self.perturb = if p.bank_rotation {
             Some(PerturbRng::new(p.seed ^ 0x6261_6E6B_5F72_6F74))
         } else {
             None
@@ -160,6 +160,15 @@ mod tests {
         let (b, tb) = run(Some(SchedulePerturbation::none()));
         assert_eq!(a, b);
         assert_eq!(ta, tb);
+    }
+
+    #[test]
+    fn none_rotates_nothing() {
+        let none = SchedulePerturbation::none();
+        assert!(none.is_none());
+        let mut sys = System::new(SystemConfig::small_test(), programs()).unwrap();
+        sys.set_perturbation(&none);
+        assert!(sys.perturb.is_none(), "no bank-rotation stream installed");
     }
 
     #[test]

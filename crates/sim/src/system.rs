@@ -10,8 +10,8 @@ use pbm_noc::{Mesh, MessageClass};
 use pbm_nvram::{DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
 use pbm_obs::{Observer, Sampler};
 use pbm_types::{
-    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, LineAddr,
-    MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent, TraceEventKind,
+    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, FastMap,
+    LineAddr, MetricSample, NodeId, SimStats, StallKind, SystemConfig, TraceEvent, TraceEventKind,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -98,7 +98,7 @@ pub struct System {
     /// wedge reports print the same text on every run.
     pub(crate) waiters: BTreeMap<EpochTag, Vec<CoreId>>,
     /// BSP: cycle by which an epoch's undo-log records are durable.
-    pub(crate) log_ready: HashMap<EpochTag, Cycle>,
+    pub(crate) log_ready: FastMap<EpochTag, Cycle>,
     pub(crate) queue: EventQueue,
     /// Events popped from the queue so far.
     pub(crate) events: u64,
@@ -170,7 +170,7 @@ impl System {
             steps: Vec::new(),
             locks: Locks::new(cfg.cores),
             waiters: BTreeMap::new(),
-            log_ready: HashMap::new(),
+            log_ready: FastMap::default(),
             queue: EventQueue::new(),
             events: 0,
             scratch: Scratch::default(),

@@ -28,6 +28,7 @@ mod addr;
 pub mod bug;
 mod config;
 mod error;
+mod hash;
 mod ids;
 mod kinds;
 mod message;
@@ -38,6 +39,7 @@ mod time;
 pub use addr::{Addr, LineAddr, LINE_SIZE, LINE_SIZE_BITS};
 pub use config::{SystemConfig, MAX_CORES};
 pub use error::ConfigError;
+pub use hash::{FastHasher, FastMap};
 pub use ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId, ThreadId};
 pub use kinds::{BarrierKind, FlushMode, PersistencyKind};
 pub use message::MessageClass;
