@@ -211,7 +211,7 @@ impl Experiment {
     }
 
     /// Every workload under every rung of the axis, workload-major.
-    pub(crate) fn grid(&self, opts: &Options) -> Vec<Job> {
+    pub fn grid(&self, opts: &Options) -> Vec<Job> {
         let base = self.base(opts.quick);
         let axis = (self.axis)();
         let mut jobs = Vec::new();
