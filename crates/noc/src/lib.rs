@@ -8,6 +8,12 @@
 //! (the usual tiled-CMP organization), and the memory controllers sit at the
 //! mesh corners as in Figure 2 of the paper.
 //!
+//! [`Mesh::new`] flattens the [`Placement`] into one coordinate per node
+//! and fixes each virtual network's flit count, so [`Mesh::send`] finds
+//! both endpoints by index and walks the route by tile arithmetic: the X
+//! leg steps the tile by ±1, the Y leg by ±`cols`, reserving each link it
+//! leaves. No route is stored; the walk is as long as the route.
+//!
 //! # Example
 //!
 //! ```
@@ -28,14 +34,23 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
 mod routing;
 mod topology;
 
 pub use pbm_types::MessageClass;
-pub use routing::{route_xy, RouteIter};
 pub use topology::{Coord, Placement};
 
 use pbm_types::{Cycle, NodeId, SystemConfig};
+
+/// Link direction indices, as in `link_busy`'s layout.
+const NORTH: usize = 0;
+const SOUTH: usize = 1;
+const EAST: usize = 2;
+const WEST: usize = 3;
+
+/// `link_busy` entries per tile: four directions, each per virtual network.
+const TILE_LINKS: usize = 4 * MessageClass::VNETS;
 
 /// The 2D-mesh network: topology, placement and link-contention state.
 ///
@@ -46,9 +61,16 @@ use pbm_types::{Cycle, NodeId, SystemConfig};
 /// mutating state.
 #[derive(Debug, Clone)]
 pub struct Mesh {
-    placement: Placement,
+    /// The [`Placement`] flattened: the coordinate of tile `i` (core `i`
+    /// and bank `i`) at index `i`, then memory controller `m`'s at
+    /// `tiles + m`.
+    coords: Vec<Coord>,
+    /// Tile slots, `rows * cols`.
+    tiles: usize,
+    cols: usize,
     hop_latency: u64,
-    flit_bytes: u64,
+    /// Flits of a message on each virtual network.
+    vnet_flits: [u64; MessageClass::VNETS],
     /// busy-until time per directed link and virtual network, indexed by
     /// `(from_tile * 4 + direction) * VNETS + vnet`.
     link_busy: Vec<Cycle>,
@@ -64,36 +86,31 @@ pub struct Mesh {
     jitter_state: u64,
 }
 
-/// Direction of a mesh link leaving a tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    North,
-    South,
-    East,
-    West,
-}
-
-impl Dir {
-    fn index(self) -> usize {
-        match self {
-            Dir::North => 0,
-            Dir::South => 1,
-            Dir::East => 2,
-            Dir::West => 3,
-        }
-    }
-}
-
 impl Mesh {
     /// Builds the mesh for a validated system configuration.
     pub fn new(cfg: &SystemConfig) -> Self {
         let placement = Placement::new(cfg);
         let tiles = placement.rows() * placement.cols();
+        let tile_nodes = (0..tiles).map(|i| NodeId::Core(i.into()));
+        let mc_nodes = (0..cfg.mcs).map(|m| NodeId::Mc(m.into()));
+        let coords = tile_nodes
+            .chain(mc_nodes)
+            .map(|node| placement.coord(node))
+            .collect();
+        // The variants are in vnet order.
+        let vnet_flits = [
+            MessageClass::Control,
+            MessageClass::Data,
+            MessageClass::Writeback,
+        ]
+        .map(|class| class.bytes().div_ceil(cfg.flit_bytes).max(1));
         Mesh {
-            placement,
+            coords,
+            tiles,
+            cols: placement.cols(),
             hop_latency: cfg.hop_latency,
-            flit_bytes: cfg.flit_bytes,
-            link_busy: vec![Cycle::ZERO; tiles * 4 * MessageClass::VNETS],
+            vnet_flits,
+            link_busy: vec![Cycle::ZERO; tiles * TILE_LINKS],
             messages: 0,
             flits: 0,
             wait_cycles: [0; MessageClass::VNETS],
@@ -142,11 +159,6 @@ impl Mesh {
         self.wait_cycles
     }
 
-    /// The node placement in use.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// Messages injected so far.
     pub fn message_count(&self) -> u64 {
         self.messages
@@ -159,7 +171,7 @@ impl Mesh {
 
     /// Number of flits a message of `class` occupies.
     pub fn flits_for(&self, class: MessageClass) -> u64 {
-        class.bytes().div_ceil(self.flit_bytes).max(1)
+        self.vnet_flits[class.vnet()]
     }
 
     /// Contention-free traversal latency from `src` to `dst`.
@@ -175,9 +187,27 @@ impl Mesh {
 
     /// Manhattan hop distance between two nodes (0 for colocated nodes).
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u64 {
-        let a = self.placement.coord(src);
-        let b = self.placement.coord(dst);
-        a.manhattan(b)
+        self.coord(src).manhattan(self.coord(dst))
+    }
+
+    /// The mesh coordinate of a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node index exceeds the configured counts (a wiring bug
+    /// in the caller, not a runtime condition).
+    fn coord(&self, node: NodeId) -> Coord {
+        let index = match node {
+            NodeId::Core(c) => c.index(),
+            NodeId::Bank(b) => b.index(),
+            NodeId::Mc(m) => return self.coords[self.tiles + m.index()],
+        };
+        assert!(
+            index < self.tiles,
+            "tile {index} outside the {} tiles",
+            self.tiles
+        );
+        self.coords[index]
     }
 
     /// Injects a message at time `now`, returning its arrival time at `dst`.
@@ -189,11 +219,12 @@ impl Mesh {
     /// order (the discrete-event engine guarantees this); out-of-order calls
     /// are safe but conservatively over-estimate waiting.
     pub fn send(&mut self, src: NodeId, dst: NodeId, class: MessageClass, now: Cycle) -> Cycle {
-        let flits = self.flits_for(class);
+        let vnet = class.vnet();
+        let flits = self.vnet_flits[vnet];
         self.messages += 1;
         self.flits += flits;
-        let a = self.placement.coord(src);
-        let b = self.placement.coord(dst);
+        let a = self.coord(src);
+        let b = self.coord(dst);
         if a == b {
             // Same tile (e.g. core to its colocated bank): router-internal.
             return now + Cycle::new(self.hop_latency + (flits - 1)) + self.jitter();
@@ -201,32 +232,54 @@ impl Mesh {
         if now > self.now {
             // Future-dated message (inline cascade): unloaded latency, no
             // link reservation — it must not block present-time traffic.
-            return now + self.latency_unloaded(src, dst, class) + self.jitter();
+            let hops = a.manhattan(b);
+            return now + Cycle::new(hops * self.hop_latency + (flits - 1)) + self.jitter();
         }
-        let cols = self.placement.cols();
-        let mut head = now;
-        for (from, to) in route_xy(a, b) {
-            let dir = Self::dir(from, to);
-            let link = (from.index(cols) * 4 + dir.index()) * MessageClass::VNETS + class.vnet();
-            // Head flit waits for the link, link is held for `flits` cycles.
-            let start = head.max(self.link_busy[link]);
-            self.wait_cycles[class.vnet()] += (start - head).as_u64();
-            self.link_busy[link] = start + Cycle::new(flits);
-            head = start + Cycle::new(self.hop_latency);
-        }
+        // XY routing: along the source row to the destination column,
+        // then along that column. Each step moves the tile by ±1 (X) or
+        // ±cols (Y), so its links by that many `TILE_LINKS`.
+        let (x_dir, x_step) = if b.col > a.col {
+            (EAST, 1)
+        } else {
+            (WEST, 1usize.wrapping_neg())
+        };
+        let (y_dir, y_step) = if b.row > a.row {
+            (SOUTH, self.cols)
+        } else {
+            (NORTH, self.cols.wrapping_neg())
+        };
+        let (x_hops, y_hops) = (a.col.abs_diff(b.col), a.row.abs_diff(b.row));
+        let (src_tile, corner) = (a.row * self.cols + a.col, a.row * self.cols + b.col);
+        let head = self.reserve(src_tile, x_dir, x_step, x_hops, vnet, now);
+        let head = self.reserve(corner, y_dir, y_step, y_hops, vnet, head);
         head + Cycle::new(flits - 1) + self.jitter()
     }
 
-    fn dir(from: Coord, to: Coord) -> Dir {
-        if to.col > from.col {
-            Dir::East
-        } else if to.col < from.col {
-            Dir::West
-        } else if to.row > from.row {
-            Dir::South
-        } else {
-            Dir::North
+    /// Walks `hops` links leaving tiles `from`, `from + step`, … in
+    /// direction `dir` on `vnet`: the head flit arriving at `head` waits
+    /// for each link, then holds it for the message's flits. Returns when
+    /// the head leaves the last router.
+    fn reserve(
+        &mut self,
+        from: usize,
+        dir: usize,
+        step: usize,
+        hops: usize,
+        vnet: usize,
+        mut head: Cycle,
+    ) -> Cycle {
+        let flits = Cycle::new(self.vnet_flits[vnet]);
+        let hop = Cycle::new(self.hop_latency);
+        let stride = step.wrapping_mul(TILE_LINKS);
+        let mut link = from * TILE_LINKS + dir * MessageClass::VNETS + vnet;
+        for _ in 0..hops {
+            let start = head.max(self.link_busy[link]);
+            self.wait_cycles[vnet] += (start - head).as_u64();
+            self.link_busy[link] = start + flits;
+            head = start + hop;
+            link = link.wrapping_add(stride);
         }
+        head
     }
 }
 
@@ -272,7 +325,7 @@ mod tests {
     fn mcs_sit_on_corners() {
         let m = mesh();
         for i in 0..4 {
-            let c = m.placement().coord(NodeId::Mc(McId::new(i)));
+            let c = m.coord(NodeId::Mc(McId::new(i)));
             assert!(
                 (c.row == 0 || c.row == 3) && (c.col == 0 || c.col == 7),
                 "MC{i} at {c:?} is not a corner"
@@ -414,6 +467,18 @@ mod tests {
         assert!(
             a[0] >= base && a[0] <= base + Cycle::new(6),
             "bounded delay"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn sending_from_outside_the_mesh_panics() {
+        let mut m = Mesh::new(&SystemConfig::small_test());
+        m.send(
+            NodeId::Core(CoreId::new(99)),
+            NodeId::Bank(BankId::new(0)),
+            MessageClass::Control,
+            Cycle::ZERO,
         );
     }
 

@@ -21,11 +21,6 @@ impl Coord {
     pub fn manhattan(self, other: Coord) -> u64 {
         (self.row.abs_diff(other.row) + self.col.abs_diff(other.col)) as u64
     }
-
-    /// Row-major tile index for a mesh with `cols` columns.
-    pub fn index(self, cols: usize) -> usize {
-        self.row * cols + self.col
-    }
 }
 
 /// Placement of cores, LLC banks and memory controllers on the mesh.
@@ -122,12 +117,6 @@ mod tests {
         assert_eq!(p.coord(NodeId::Mc(McId::new(1))), Coord::new(0, 7));
         assert_eq!(p.coord(NodeId::Mc(McId::new(2))), Coord::new(3, 7));
         assert_eq!(p.coord(NodeId::Mc(McId::new(3))), Coord::new(3, 0));
-    }
-
-    #[test]
-    fn coord_index_roundtrip() {
-        let c = Coord::new(2, 3);
-        assert_eq!(c.index(8), 19);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The workload is hold-model churn — the steady state of a discrete-event
 //! simulator: keep `n` events pending, repeatedly pop the earliest and
 //! schedule a replacement a short (LCG-drawn) delta into the future. The
-//! bucketed wheel must beat the `BinaryHeap` reference here; if it ever
-//! stops doing so, the Layer-2 overhaul has regressed and `pop`/`schedule`
-//! deserve a profile.
+//! wheel — 4096 buckets of linked nodes in one arena `Vec` — must beat
+//! the `BinaryHeap` reference here; if it ever stops doing so,
+//! `pop`/`schedule` deserve a profile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbm_sim::{Event, EventQueue, HeapEventQueue};

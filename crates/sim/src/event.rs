@@ -6,10 +6,13 @@
 //!
 //! * [`EventQueue`] — the production queue: a bucketed timing wheel
 //!   (calendar queue) indexed by cycle delta from the queue's time floor,
-//!   each bucket sorted by key, with a binary-heap fallback for events
-//!   beyond the wheel horizon. Schedule and pop are O(1) on the hot path
-//!   (bounded event horizons are the common case in this simulator: L1 /
-//!   LLC / mesh / NVRAM latencies are all small constants).
+//!   each bucket a key-sorted singly linked list of nodes in one arena
+//!   `Vec` (recycled through a free list), with a binary-heap fallback
+//!   for events beyond the wheel horizon. Schedule and pop are O(1) on the
+//!   hot path (bounded event horizons are the common case in this
+//!   simulator: L1 / LLC / mesh / NVRAM latencies are all small
+//!   constants); only a keyed insert below a bucket's last key walks its
+//!   list.
 //! * [`HeapEventQueue`] — the log-n reference implementation (a plain
 //!   `BinaryHeap`), kept as the property-test oracle and the baseline leg
 //!   of the `event_queue` Criterion bench.
@@ -27,7 +30,7 @@
 
 use pbm_types::{BankId, CoreId, Cycle, EpochId};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A scheduled simulator event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,17 +74,47 @@ impl PartialOrd for Scheduled {
 const WHEEL_SLOTS: usize = 4096;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
+/// The null node index: an empty bucket's head and tail, a list's end.
+const NIL: u32 = u32::MAX;
+
+/// One wheel entry in the node arena, linked to the next entry of its
+/// bucket (or, once popped, of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
+    event: Event,
+    next: u32,
+}
+
+/// A wheel bucket: the first and last node of its list, `NIL` if empty.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// Time-ordered event queue: a bucketed timing wheel over
 /// `WHEEL_SLOTS` (4096) cycles with a heap fallback for far-future events.
 /// Ties break by key, then insertion order, making the simulation fully
 /// deterministic; pop order is identical to [`HeapEventQueue`].
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `wheel[c % WHEEL_SLOTS]` holds the `(key, event)`s of cycle `c` for
+    /// `wheel[c % WHEEL_SLOTS]` lists the `(key, event)`s of cycle `c` for
     /// every `c` in `[floor, floor + WHEEL_SLOTS)`, sorted by key, equal
     /// keys in insertion order. The window is exactly one wheel
     /// revolution, so each bucket holds at most one distinct cycle.
-    wheel: Vec<VecDeque<(u64, Event)>>,
+    wheel: Vec<Bucket>,
+    /// Every bucket's entries, linked through `Node::next`.
+    nodes: Vec<Node>,
+    /// Head of the list of popped nodes, reused before `nodes` grows.
+    free: u32,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
     /// Events scheduled beyond the wheel horizon (or, defensively, in the
@@ -99,7 +132,9 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            wheel: vec![Bucket::EMPTY; WHEEL_SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0; WHEEL_WORDS],
             overflow: BinaryHeap::new(),
             floor: 0,
@@ -133,13 +168,7 @@ impl EventQueue {
         let t = at.as_u64();
         if t >= self.floor && t - self.floor < WHEEL_SLOTS as u64 {
             let b = (t % WHEEL_SLOTS as u64) as usize;
-            let bucket = &mut self.wheel[b];
-            if bucket.back().is_none_or(|&(k, _)| k <= key) {
-                bucket.push_back((key, event));
-            } else {
-                let i = bucket.partition_point(|&(k, _)| k <= key);
-                bucket.insert(i, (key, event));
-            }
+            self.insert(b, key, event);
             self.occupied[b / 64] |= 1 << (b % 64);
         } else {
             self.overflow.push(Reverse(Scheduled {
@@ -148,6 +177,48 @@ impl EventQueue {
                 seq,
                 event,
             }));
+        }
+    }
+
+    /// Links a new node into bucket `b` after every entry with a key up
+    /// to `key`.
+    fn insert(&mut self, b: usize, key: u64, event: Event) {
+        let node = Node {
+            key,
+            event,
+            next: NIL,
+        };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        let Bucket { head, tail } = self.wheel[b];
+        if tail == NIL {
+            self.wheel[b] = Bucket { head: n, tail: n };
+        } else if self.nodes[tail as usize].key <= key {
+            self.nodes[tail as usize].next = n;
+            self.wheel[b].tail = n;
+        } else if self.nodes[head as usize].key > key {
+            self.nodes[n as usize].next = head;
+            self.wheel[b].head = n;
+        } else {
+            // A keyed lock retry: after the last node with a key up to
+            // `key`, which is never the tail here.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if self.nodes[next as usize].key > key {
+                    self.nodes[n as usize].next = next;
+                    self.nodes[prev as usize].next = n;
+                    break;
+                }
+                prev = next;
+            }
         }
     }
 
@@ -170,11 +241,8 @@ impl EventQueue {
                 // A bucket's front entry is its minimum key. At equal
                 // cycle and key the overflow entry was inserted first: the
                 // cycle was beyond the horizon then and inside it later.
-                let wkey = self.wheel[wheel_bucket.expect("occupied")]
-                    .front()
-                    .expect("occupied bucket non-empty")
-                    .0;
-                over <= (wat, wkey)
+                let head = self.wheel[wheel_bucket.expect("occupied")].head;
+                over <= (wat, self.nodes[head as usize].key)
             }
         };
         self.len -= 1;
@@ -185,10 +253,15 @@ impl EventQueue {
         }
         let b = wheel_bucket.expect("wheel path");
         let at = wheel_cycle.expect("wheel path");
-        let (key, event) = self.wheel[b].pop_front().expect("occupied bucket");
-        if self.wheel[b].is_empty() {
+        let n = self.wheel[b].head;
+        let Node { key, event, next } = self.nodes[n as usize];
+        self.wheel[b].head = next;
+        if next == NIL {
+            self.wheel[b].tail = NIL;
             self.occupied[b / 64] &= !(1 << (b % 64));
         }
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
         self.floor = at.as_u64();
         Some((at, key, event))
     }

@@ -12,8 +12,7 @@ impl System {
     /// interleaving (which consumes the low bits) so one bank's flush
     /// traffic spreads across controllers.
     pub(crate) fn mc_of(&self, line: LineAddr) -> McId {
-        let shift = (self.cfg.llc_banks as u64).trailing_zeros();
-        McId::new(((line.as_u64() >> shift) % self.cfg.mcs as u64) as u32)
+        McId::new(self.interleave.mc(line) as u32)
     }
 
     /// Runs one protocol entry point and executes the timing steps it

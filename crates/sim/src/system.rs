@@ -64,6 +64,37 @@ pub(crate) struct Scratch {
     pub core_bufs: Vec<Vec<CoreId>>,
 }
 
+/// Line interleaving: the low bits of a line address pick its LLC bank,
+/// the bits above them its memory controller. `SystemConfig::validate`
+/// makes both counts powers of two, so each pick is a shift and a mask.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interleave {
+    pub bank_shift: u32,
+    bank_mask: u64,
+    mc_mask: u64,
+}
+
+impl Interleave {
+    pub fn new(banks: usize, mcs: usize) -> Self {
+        debug_assert!(banks.is_power_of_two() && mcs.is_power_of_two());
+        Interleave {
+            bank_shift: banks.trailing_zeros(),
+            bank_mask: banks as u64 - 1,
+            mc_mask: mcs as u64 - 1,
+        }
+    }
+
+    /// `line % banks`.
+    pub fn bank(self, line: LineAddr) -> u64 {
+        line.as_u64() & self.bank_mask
+    }
+
+    /// `(line / banks) % mcs`.
+    pub fn mc(self, line: LineAddr) -> u64 {
+        (line.as_u64() >> self.bank_shift) & self.mc_mask
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct BankState {
     pub array: CacheArray,
@@ -103,6 +134,8 @@ pub struct System {
     /// Events popped from the queue so far.
     pub(crate) events: u64,
     pub(crate) scratch: Scratch,
+    /// Which bank and memory controller own each line.
+    pub(crate) interleave: Interleave,
     pub(crate) now: Cycle,
     pub(crate) token_seq: u64,
     pub(crate) checker: Option<ConsistencyChecker>,
@@ -140,7 +173,8 @@ impl System {
                 )
             })
             .collect();
-        let bank_shift = (cfg.llc_banks as u64).trailing_zeros();
+        let interleave = Interleave::new(cfg.llc_banks, cfg.mcs);
+        let bank_shift = interleave.bank_shift;
         let l1s = (0..cfg.cores)
             .map(|_| CacheArray::new(cfg.l1_sets(), cfg.l1_assoc, 0))
             .collect();
@@ -174,6 +208,7 @@ impl System {
             queue: EventQueue::new(),
             events: 0,
             scratch: Scratch::default(),
+            interleave,
             now: Cycle::ZERO,
             token_seq: 1,
             checker: None,
@@ -323,7 +358,7 @@ impl System {
 
     /// The LLC bank owning `line`.
     pub(crate) fn bank_of(&self, line: LineAddr) -> BankId {
-        BankId::new((line.as_u64() % self.cfg.llc_banks as u64) as u32)
+        BankId::new(self.interleave.bank(line) as u32)
     }
 
     /// Mints a globally unique store token carrying `value` in its low
@@ -788,6 +823,23 @@ pub(crate) enum StepOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleave_masks_equal_the_modulo_forms() {
+        let counts = [1usize, 2, 4, 8, 16, 32, 64];
+        let lines = (0..4096u64).chain((0..64).map(|i| u64::MAX >> i));
+        for banks in counts {
+            for mcs in counts {
+                let il = Interleave::new(banks, mcs);
+                for raw in lines.clone() {
+                    let line = LineAddr::new(raw);
+                    let (b, m) = (banks as u64, mcs as u64);
+                    assert_eq!(il.bank(line), raw % b, "{banks} banks, line {raw}");
+                    assert_eq!(il.mc(line), raw / b % m, "{banks}x{mcs}, line {raw}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn wedge_reports_list_waiters_in_tag_order() {
