@@ -5,7 +5,6 @@ use crate::cli::{die, CliError, Flags};
 use pbm_obs::{chrome, metrics_csv};
 use pbm_types::{MetricSample, TraceEvent};
 use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 /// Default sampling cadence when `--metrics-csv` is given without
@@ -109,8 +108,8 @@ pub(crate) fn write_artifacts(
     let cell = opts.for_label(&format!("{config}-{workload}"));
     let label = format!("{workload}/{config}");
     if let Some(path) = &cell.trace_out {
-        let written = File::create(path)
-            .and_then(|file| chrome::write_chrome_trace(BufWriter::new(file), events, samples));
+        let written =
+            File::create(path).and_then(|file| chrome::write_chrome_trace(file, events, samples));
         if let Err(e) = written {
             die(&format!("cannot write trace JSON {}: {e}", path.display()));
         }

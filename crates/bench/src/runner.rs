@@ -177,6 +177,9 @@ pub fn run_cell((config, workload, cfg, wl): Job, obs: &ObsOptions, sample: bool
     let stats = sys.run();
     let events = sys.take_trace_events();
     let samples = sys.take_metric_samples();
+    // The simulator's caches and tables are done with: free them before
+    // the trace export builds its index.
+    drop(sys);
     obs::write_artifacts(obs, &config, &workload, &events, &samples);
     let prof = obs
         .prof_out

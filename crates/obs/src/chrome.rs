@@ -15,7 +15,8 @@
 //!   PersistCMP handshake steps, IDT records/overflows, conflicts,
 //!   deadlock splits.
 //! * **llc banks** (pid 5) — one thread per bank; BankAck instants.
-//! * **noc** (pid 6) — one thread per virtual network; injection instants.
+//! * **noc** (pid 6) — one thread per virtual network, numbered by class
+//!   index (control 0, data 1, writeback 2); injection instants.
 //! * **memory controllers** (pid 7) — counter tracks (`ph:"C"`) from the
 //!   periodic metric samples: MC queue depth, stalled cores, cumulative
 //!   NVRAM writes.
@@ -24,27 +25,40 @@
 //! (1 cycle ≙ 1 µs in the viewer); no wall-clock value ever enters the
 //! document, so identical runs export byte-identical traces.
 //!
-//! [`write_chrome_trace`] streams the document in three steps, holding no
-//! JSON in memory:
+//! The export takes three steps:
 //!
 //! 1. **Pre-scan.** One pass over the events reconstructs each epoch's
-//!    lifecycle, assigns persist-pipeline lanes, and collects the thread
-//!    ids of every track, which the metadata at the front must name.
-//! 2. **Index.** Every output line becomes a 16-byte `Record`: its `ts`
-//!    and the span, event or sample it renders. Sorting the records by
-//!    `(ts, source)` orders ties exactly as emission order did: execution
-//!    spans, persist spans, stream events, then counters.
-//! 3. **Write.** The track metadata, then one line per record, rendered
-//!    straight from the [`TraceEvent`] or [`MetricSample`] it points at.
+//!    lifecycle and marks the thread ids of every track in tables indexed
+//!    by core, bank and class; the metadata at the front names them in id
+//!    order. Persist-pipeline lanes are then assigned per core.
+//! 2. **Index.** Every output line becomes a 16-byte `Record`: its `ts`,
+//!    its kind (execution span, persist span, stream event, counter, in
+//!    that order) and the lifecycle, event or sample it renders. The
+//!    records fill one `Vec` reserved for exactly the document's lines,
+//!    each kind pushed in ascending index order, and a stable LSD radix
+//!    sort orders them by `ts << 2 | kind`. Lines with equal `ts` thus come
+//!    out by kind, then by index.
+//! 3. **Write.** The track metadata, then one line per record, appended to
+//!    a `String` straight from the [`TraceEvent`] or [`MetricSample`] it
+//!    points at, as `&str` pieces with decimals taken two digits at a time
+//!    from a table. [`export_chrome_trace`] returns that string;
+//!    [`write_chrome_trace`] hands it to its writer whenever it passes
+//!    64 KiB and starts it afresh, so a streamed document is never held
+//!    whole.
 //!
 //! The bytes are those of the earlier document-model exporter, which built
 //! a JSON tree of the whole trace first; `tests/golden/chrome-small.json`
 //! pins them. Every string the exporter writes is an id (`C3:E7`, `B2`, …)
 //! or a fixed name, none of which needs JSON escaping.
 
-use pbm_types::{EpochPhase, EpochTag, MetricSample, NodeId, TraceEvent, TraceEventKind};
-use std::collections::{BTreeMap, BTreeSet};
+use pbm_types::{
+    EpochPhase, EpochTag, MessageClass, MetricSample, NodeId, TraceEvent, TraceEventKind,
+};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
+
+#[cfg(test)]
+mod reference;
 
 const PID_EXEC: u64 = 1;
 const PID_PERSIST: u64 = 2;
@@ -60,6 +74,23 @@ const LANE_STRIDE: u64 = 1000;
 /// The counter tracks, in the order each sample emits them.
 const COUNTERS: [&str; 3] = ["mc_queue_depth", "stalled_cores", "nvram_writes"];
 
+/// Bytes [`write_chrome_trace`] collects before handing them to its writer.
+const CHUNK: usize = 64 * 1024;
+
+/// `00` to `99`, two characters each.
+const DIGIT_PAIRS: &str = concat!(
+    "00010203040506070809",
+    "10111213141516171819",
+    "20212223242526272829",
+    "30313233343536373839",
+    "40414243444546474849",
+    "50515253545556575859",
+    "60616263646566676869",
+    "70717273747576777879",
+    "80818283848586878889",
+    "90919293949596979899",
+);
+
 /// Lifecycle milestones of one epoch, reconstructed from the event stream.
 #[derive(Debug, Default, Clone)]
 struct EpochLife {
@@ -72,29 +103,121 @@ struct EpochLife {
     lane: u64,
 }
 
-/// What one output line renders. Variant order is emission order, so
-/// sorting records by `(ts, source)` is a stable sort by `ts`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Source {
+/// What one output line renders. Variant order is the order in which
+/// lines with equal `ts` are written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
     /// An epoch's execution span; indexes the lifecycles.
-    Exec(u32),
+    Exec,
     /// An epoch's persist-pipeline span; indexes the lifecycles.
-    Persist(u32),
+    Persist,
     /// A stream event; indexes the events.
-    Event(u32),
+    Event,
     /// `sample * 3 + counter`; indexes the samples and [`COUNTERS`].
-    Counter(u32),
+    Counter,
 }
 
 /// One output line of the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct Record {
     ts: u64,
-    source: Source,
+    index: u32,
+    kind: Kind,
 }
 
-fn index(i: usize) -> u32 {
-    u32::try_from(i).expect("a trace holds fewer than 2^32 records")
+impl Record {
+    fn new(ts: u64, kind: Kind, index: usize) -> Record {
+        let index = u32::try_from(index).expect("a trace holds fewer than 2^32 records");
+        Record { ts, index, kind }
+    }
+}
+
+/// The most key bits one radix pass orders.
+const RADIX_BITS: u32 = 12;
+
+/// Sorts `records` stably by `ts << 2 | kind`: an LSD radix sort through
+/// one scratch buffer of the same length, with as few passes over digits
+/// of at most 12 bits as the largest `ts` needs. A digit that every record
+/// shares is skipped. The key has 66 bits, so the first digit is cut from
+/// `ts << 2 | kind` and the others straight from `ts`.
+fn radix_sort(records: &mut Vec<Record>) {
+    let Some(max) = records.iter().map(|r| r.ts).max() else {
+        return;
+    };
+    let bits = u64::BITS - max.leading_zeros() + 2;
+    let passes = bits.div_ceil(RADIX_BITS);
+    let width = bits.div_ceil(passes);
+    let digit = |r: &Record, pass: u32| {
+        let bits = match pass {
+            0 => r.ts << 2 | r.kind as u64,
+            _ => r.ts >> (pass * width - 2),
+        };
+        bits as usize & ((1 << width) - 1)
+    };
+    let mut counts = vec![vec![0usize; 1 << width]; passes as usize];
+    for r in records.iter() {
+        for (pass, count) in (0..).zip(counts.iter_mut()) {
+            count[digit(r, pass)] += 1;
+        }
+    }
+    let mut from = std::mem::take(records);
+    let mut to = Vec::new();
+    for (pass, count) in (0..).zip(counts.iter_mut()) {
+        if count.contains(&from.len()) {
+            continue;
+        }
+        // Each bucket's first slot, then the next free one.
+        let mut at = 0;
+        for slot in count.iter_mut() {
+            at += std::mem::replace(slot, at);
+        }
+        to.resize(from.len(), from[0]);
+        for r in &from {
+            let slot = &mut count[digit(r, pass)];
+            to[*slot] = *r;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    *records = from;
+}
+
+/// A set of small ids (cores, banks): a table indexed by id.
+#[derive(Debug, Default)]
+struct Ids(Vec<bool>);
+
+impl Ids {
+    fn insert(&mut self, id: u32) {
+        let id = id as usize;
+        if id >= self.0.len() {
+            self.0.resize(id + 1, false);
+        }
+        self.0[id] = true;
+    }
+
+    /// `(id, name(id))` for each id in the set, ascending.
+    fn threads(&self, name: impl Fn(usize) -> String) -> Vec<(u64, String)> {
+        (0..self.0.len())
+            .filter(|&id| self.0[id])
+            .map(|id| (id as u64, name(id)))
+            .collect()
+    }
+}
+
+/// Where `ev`'s output line sorts, or `None` if it renders no line.
+fn line_ts(ev: &TraceEvent) -> Option<u64> {
+    let ts = ev.cycle.as_u64();
+    match ev.kind {
+        // Phases become the epoch spans. A persist write happens once per
+        // flushed line, too dense for a viewer track (pbm-prof reads them
+        // from the in-memory stream instead). A stall's span is written at
+        // its StallEnd, which carries the duration.
+        TraceEventKind::EpochPhase { .. }
+        | TraceEventKind::PersistWrite { .. }
+        | TraceEventKind::StallBegin { .. } => None,
+        TraceEventKind::StallEnd { waited, .. } => Some(ts.saturating_sub(waited.as_u64())),
+        _ => Some(ts),
+    }
 }
 
 /// The pre-scan's result: everything the write pass needs besides the
@@ -105,15 +228,14 @@ struct Layout {
     lives: Vec<(EpochTag, EpochLife)>,
     last_cycle: u64,
     records: Vec<Record>,
-    exec_cores: BTreeSet<u32>,
-    persist_tids: BTreeSet<(u32, u64)>,
-    stall_cores: BTreeSet<u32>,
-    event_cores: BTreeSet<u32>,
-    bank_tids: BTreeSet<u32>,
-    /// NoC classes in order of first appearance. The metadata numbers
-    /// their threads in this order, while `NocSend` instants use
-    /// `class as u64`; the two agree whenever control traffic comes first.
-    noc_vnets: Vec<&'static str>,
+    exec_cores: Ids,
+    /// Per core, the cycle each persist-pipeline lane is busy until.
+    lanes: Vec<Vec<u64>>,
+    stall_cores: Ids,
+    event_cores: Ids,
+    bank_tids: Ids,
+    /// The name of each NoC class seen, indexed by class (its tid).
+    noc_vnets: [Option<&'static str>; MessageClass::VNETS],
 }
 
 impl Layout {
@@ -122,11 +244,18 @@ impl Layout {
         // Keyed (core, epoch) in BTree order so lane assignment and span
         // order are deterministic.
         let mut lives: BTreeMap<EpochTag, EpochLife> = BTreeMap::new();
+        // At most one line per event and three per sample: phase events
+        // render no line, and each epoch span stands in for one of its
+        // epoch's phase events (the first Ongoing, or the first Completed
+        // or Flushing).
+        layout.records = Vec::with_capacity(events.len() + samples.len() * COUNTERS.len());
         for (i, ev) in events.iter().enumerate() {
             let ts = ev.cycle.as_u64();
             layout.last_cycle = layout.last_cycle.max(ts);
-            // Where this event's output line sorts, if it renders one.
-            let line_ts = match ev.kind {
+            if let Some(line) = line_ts(ev) {
+                layout.records.push(Record::new(line, Kind::Event, i));
+            }
+            match ev.kind {
                 TraceEventKind::EpochPhase { tag, phase } => {
                     let life = lives.entry(tag).or_default();
                     let slot = match phase {
@@ -136,7 +265,6 @@ impl Layout {
                         EpochPhase::Persisted => &mut life.persisted_at,
                     };
                     slot.get_or_insert(ts);
-                    None
                 }
                 TraceEventKind::FlushEpoch { tag, reason } => {
                     lives
@@ -145,76 +273,48 @@ impl Layout {
                         .reason
                         .get_or_insert(reason.name());
                     layout.event_cores.insert(tag.core.as_u32());
-                    Some(ts)
                 }
                 TraceEventKind::FlushRequested { tag, .. } | TraceEventKind::PersistCmp { tag } => {
                     layout.event_cores.insert(tag.core.as_u32());
-                    Some(ts)
                 }
                 TraceEventKind::IdtRecord { dependent, .. }
                 | TraceEventKind::IdtOverflow { dependent, .. }
                 | TraceEventKind::ConflictInter { dependent, .. } => {
                     layout.event_cores.insert(dependent.core.as_u32());
-                    Some(ts)
                 }
                 TraceEventKind::DeadlockSplit { core, .. }
                 | TraceEventKind::ConflictIntra { core, .. } => {
                     layout.event_cores.insert(core.as_u32());
-                    Some(ts)
                 }
                 TraceEventKind::BankFlushStart { bank, .. }
-                | TraceEventKind::BankAck { bank, .. } => {
-                    layout.bank_tids.insert(bank.as_u32());
-                    Some(ts)
-                }
-                TraceEventKind::PersistWrite { .. } => {
-                    // One event per flushed line — too dense for a viewer
-                    // track. pbm-prof reads these from the in-memory event
-                    // stream instead.
-                    None
-                }
-                TraceEventKind::StallBegin { .. } => {
-                    // The matching StallEnd carries the duration; the span
-                    // is emitted there.
-                    None
-                }
-                TraceEventKind::StallEnd { core, waited, .. } => {
-                    layout.stall_cores.insert(core.as_u32());
-                    Some(ts.saturating_sub(waited.as_u64()))
-                }
+                | TraceEventKind::BankAck { bank, .. } => layout.bank_tids.insert(bank.as_u32()),
+                TraceEventKind::StallEnd { core, .. } => layout.stall_cores.insert(core.as_u32()),
                 TraceEventKind::NocSend { class, .. } => {
-                    if !layout.noc_vnets.contains(&class.name()) {
-                        layout.noc_vnets.push(class.name());
-                    }
-                    Some(ts)
+                    layout.noc_vnets[class.vnet()] = Some(class.name());
                 }
-            };
-            if let Some(ts) = line_ts {
-                layout.records.push(Record {
-                    ts,
-                    source: Source::Event(index(i)),
-                });
+                TraceEventKind::PersistWrite { .. } | TraceEventKind::StallBegin { .. } => {}
             }
         }
 
+        layout.lives = lives.into_iter().collect();
+
         // Execution spans, and persist-pipeline spans packed onto per-core
         // lanes so no track holds overlapping slices.
-        let mut lanes: BTreeMap<u32, Vec<u64>> = BTreeMap::new(); // core -> lane busy-until
-        layout.lives = lives.into_iter().collect();
         for (i, (tag, life)) in layout.lives.iter_mut().enumerate() {
             let core = tag.core.as_u32();
             if let Some(start) = life.ongoing_at {
                 layout.exec_cores.insert(core);
-                layout.records.push(Record {
-                    ts: start,
-                    source: Source::Exec(index(i)),
-                });
+                layout.records.push(Record::new(start, Kind::Exec, i));
             }
             let Some(start) = life.completed_at.or(life.flushing_at) else {
                 continue;
             };
             let end = life.persisted_at.unwrap_or(layout.last_cycle);
-            let lanes = lanes.entry(core).or_default();
+            let core = core as usize;
+            if core >= layout.lanes.len() {
+                layout.lanes.resize_with(core + 1, Vec::new);
+            }
+            let lanes = &mut layout.lanes[core];
             let lane = match lanes.iter().position(|&busy_until| busy_until <= start) {
                 Some(free) => free,
                 None => {
@@ -224,43 +324,40 @@ impl Layout {
             };
             lanes[lane] = end.max(start + 1);
             life.lane = lane as u64;
-            layout.persist_tids.insert((core, life.lane));
-            layout.records.push(Record {
-                ts: start,
-                source: Source::Persist(index(i)),
-            });
+            layout.records.push(Record::new(start, Kind::Persist, i));
         }
 
         for (i, sample) in samples.iter().enumerate() {
             for c in 0..COUNTERS.len() {
-                layout.records.push(Record {
-                    ts: sample.cycle.as_u64(),
-                    source: Source::Counter(index(i * COUNTERS.len() + c)),
-                });
+                let index = i * COUNTERS.len() + c;
+                layout
+                    .records
+                    .push(Record::new(sample.cycle.as_u64(), Kind::Counter, index));
             }
         }
-        layout.records.sort_unstable();
+        radix_sort(&mut layout.records);
         layout
     }
 }
 
-/// The output stream. Each line is assembled in `line` by the chained
-/// methods below and handed to `out` with one `write_all`: at millions of
-/// lines, `fmt`'s machinery would cost more than the bytes themselves.
-struct Writer<W> {
-    out: W,
-    line: Vec<u8>,
+/// The document being written. Each line is appended to `buf` by the
+/// chained methods below; at its end, `spill` may hand `buf` on to a
+/// writer and clear it. At millions of lines, `fmt`'s machinery would cost
+/// more than the bytes themselves.
+struct Writer<F> {
+    buf: String,
     first: bool,
+    spill: F,
 }
 
-impl<W: Write> Writer<W> {
+impl<F: FnMut(&mut String) -> io::Result<()>> Writer<F> {
     /// Opens a line up to the `name` value, whose text follows.
     fn open(&mut self) -> &mut Self {
-        self.line.clear();
-        if !std::mem::take(&mut self.first) {
-            self.line.extend_from_slice(b",\n");
+        if std::mem::take(&mut self.first) {
+            self.text("{\"name\":\"")
+        } else {
+            self.text(",\n{\"name\":\"")
         }
-        self.text("{\"name\":\"")
     }
 
     /// Ends the name with a duration span's fields and opens its `args`.
@@ -306,11 +403,15 @@ impl<W: Write> Writer<W> {
     }
 
     /// Starts one `args` field, comma-separated from the previous one.
+    #[inline(always)]
     fn key(&mut self, key: &str) -> &mut Self {
-        if self.line.last() != Some(&b'{') {
-            self.line.push(b',');
+        if self.buf.as_bytes().last() == Some(&b'{') {
+            self.text("\"")
+        } else {
+            self.text(",\"")
         }
-        self.text("\"").text(key).text("\":")
+        .text(key)
+        .text("\":")
     }
 
     fn str_arg(&mut self, key: &str, value: &str) -> &mut Self {
@@ -325,30 +426,40 @@ impl<W: Write> Writer<W> {
         self.key(key).num(value)
     }
 
-    /// Closes `args` and the object, and writes the line.
+    /// Closes `args` and the object, ending the line.
     fn close(&mut self) -> io::Result<()> {
         self.text("}}");
-        self.out.write_all(&self.line)
+        (self.spill)(&mut self.buf)
     }
 
+    /// Appends `text`; always inlined, so a literal's length is known
+    /// where it is copied.
+    #[inline(always)]
     fn text(&mut self, text: &str) -> &mut Self {
-        self.line.extend_from_slice(text.as_bytes());
+        self.buf.push_str(text);
         self
     }
 
     /// `n` in decimal, as `Display` writes it.
     fn num(&mut self, mut n: u64) -> &mut Self {
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+        // Two digits at a time from the right, written from the left.
+        let mut pairs = [0u8; 10];
+        let mut len = 0;
+        while n >= 100 {
+            pairs[len] = (n % 100) as u8;
+            n /= 100;
+            len += 1;
         }
-        self.line.extend_from_slice(&digits[at..]);
+        let lead = n as usize * 2;
+        if n < 10 {
+            self.text(&DIGIT_PAIRS[lead + 1..lead + 2]);
+        } else {
+            self.text(&DIGIT_PAIRS[lead..lead + 2]);
+        }
+        for &pair in pairs[..len].iter().rev() {
+            let at = usize::from(pair) * 2;
+            self.text(&DIGIT_PAIRS[at..at + 2]);
+        }
         self
     }
 
@@ -474,7 +585,7 @@ impl<W: Write> Writer<W> {
                 .node(src)
                 .text("->")
                 .node(dst)
-                .instant(ts, PID_NOC, class as u64)
+                .instant(ts, PID_NOC, class.vnet() as u64)
                 .str_arg("class", class.name())
                 .num_arg("arrival", arrival.as_u64()),
             // The pre-scan indexes no record for these.
@@ -486,49 +597,28 @@ impl<W: Write> Writer<W> {
     }
 }
 
-/// Streams the event stream plus metric samples to `out` as one Chrome
-/// trace-event JSON document: a pre-scan, a sorted 16-byte-per-line index,
-/// then one write pass (see the [module docs](self)). Deterministic:
-/// identical inputs yield identical bytes. `out` receives one `write_all`
-/// per line, so pass a buffered writer (`BufWriter`, `Vec<u8>`).
-///
-/// # Errors
-///
-/// Returns the first error `out` reports; the document is then truncated.
-pub fn write_chrome_trace(
-    out: impl Write,
+/// Writes the whole document through `w`: the track metadata, then one
+/// line per record of the index.
+fn render<F: FnMut(&mut String) -> io::Result<()>>(
+    w: &mut Writer<F>,
     events: &[TraceEvent],
     samples: &[MetricSample],
 ) -> io::Result<()> {
     let layout = Layout::scan(events, samples);
-    let mut w = Writer {
-        out,
-        line: Vec::with_capacity(256),
-        first: true,
-    };
-    w.out.write_all(b"{\"traceEvents\":[\n")?;
+    w.buf.push_str("{\"traceEvents\":[\n");
 
     // Track naming metadata, ahead of the content.
-    let cores = |set: &BTreeSet<u32>| -> Vec<(u64, String)> {
-        set.iter()
-            .map(|&c| (u64::from(c), format!("C{c}")))
-            .collect()
-    };
-    let persist: Vec<_> = layout
-        .persist_tids
-        .iter()
-        .map(|&(c, l)| (u64::from(c) * LANE_STRIDE + l, format!("C{c} lane{l}")))
+    let cores = |ids: &Ids| ids.threads(|c| format!("C{c}"));
+    let persist: Vec<_> = (0u64..)
+        .zip(&layout.lanes)
+        .flat_map(|(c, lanes)| {
+            (0..lanes.len() as u64).map(move |l| (c * LANE_STRIDE + l, format!("C{c} lane{l}")))
+        })
         .collect();
-    let banks: Vec<_> = layout
-        .bank_tids
-        .iter()
-        .map(|&b| (u64::from(b), format!("B{b}")))
-        .collect();
-    let vnets: Vec<_> = layout
-        .noc_vnets
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as u64, format!("vnet {v}")))
+    let banks = layout.bank_tids.threads(|b| format!("B{b}"));
+    let vnets: Vec<_> = (0u64..)
+        .zip(layout.noc_vnets)
+        .filter_map(|(tid, vnet)| Some((tid, format!("vnet {}", vnet?))))
         .collect();
     let counters = if samples.is_empty() {
         Vec::new()
@@ -545,10 +635,10 @@ pub fn write_chrome_trace(
 
     // The content, one line per record, rendered from its source.
     for record in &layout.records {
-        let ts = record.ts;
-        match record.source {
-            Source::Exec(i) => {
-                let (tag, life) = &layout.lives[i as usize];
+        let (ts, i) = (record.ts, record.index as usize);
+        match record.kind {
+            Kind::Exec => {
+                let (tag, life) = &layout.lives[i];
                 let end = life
                     .completed_at
                     .or(life.flushing_at)
@@ -566,8 +656,8 @@ pub fn write_chrome_trace(
                     .tag_arg("epoch", *tag)
                     .close()?;
             }
-            Source::Persist(i) => {
-                let (tag, life) = &layout.lives[i as usize];
+            Kind::Persist => {
+                let (tag, life) = &layout.lives[i];
                 let end = life.persisted_at.unwrap_or(layout.last_cycle);
                 w.open()
                     .text("E")
@@ -583,10 +673,9 @@ pub fn write_chrome_trace(
                     .str_arg("reason", life.reason.unwrap_or("unknown"))
                     .close()?;
             }
-            Source::Event(i) => w.event(&events[i as usize])?,
-            Source::Counter(i) => {
-                let (sample, counter) = (i as usize / COUNTERS.len(), i as usize % COUNTERS.len());
-                let sample = &samples[sample];
+            Kind::Event => w.event(&events[i])?,
+            Kind::Counter => {
+                let (sample, counter) = (&samples[i / COUNTERS.len()], i % COUNTERS.len());
                 let value = match counter {
                     0 => sample.mc_queue_depth,
                     1 => u64::from(sample.stalled_cores),
@@ -600,23 +689,61 @@ pub fn write_chrome_trace(
             }
         }
     }
-    w.out.write_all(b"\n]}\n")?;
-    w.out.flush()
+    w.buf.push_str("\n]}\n");
+    Ok(())
+}
+
+/// Streams the event stream plus metric samples to `out` as one Chrome
+/// trace-event JSON document (see the [module docs](self)), in writes of
+/// about 64 KiB, so `out` needs no buffer of its own. Deterministic:
+/// identical inputs yield identical bytes.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports; the document is then truncated.
+pub fn write_chrome_trace(
+    mut out: impl Write,
+    events: &[TraceEvent],
+    samples: &[MetricSample],
+) -> io::Result<()> {
+    let mut w = Writer {
+        // Room for the line that carries the buffer past `CHUNK`.
+        buf: String::with_capacity(CHUNK + CHUNK / 4),
+        first: true,
+        spill: |buf: &mut String| {
+            if buf.len() >= CHUNK {
+                out.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
+            Ok(())
+        },
+    };
+    render(&mut w, events, samples)?;
+    let rest = w.buf;
+    out.write_all(rest.as_bytes())?;
+    out.flush()
 }
 
 /// Exports the event stream plus metric samples as one Chrome trace-event
-/// JSON document in memory: [`write_chrome_trace`] into a `String`.
+/// JSON document in memory; the bytes [`write_chrome_trace`] streams.
 pub fn export_chrome_trace(events: &[TraceEvent], samples: &[MetricSample]) -> String {
-    let mut buf = Vec::new();
-    write_chrome_trace(&mut buf, events, samples).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("the trace is UTF-8")
+    let mut w = Writer {
+        buf: String::new(),
+        first: true,
+        spill: |_: &mut String| Ok(()),
+    };
+    render(&mut w, events, samples).expect("an in-memory export cannot fail");
+    w.buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{self, JsonValue};
-    use pbm_types::{BankId, CoreId, Cycle, EpochId, EpochPhase, EpochTag, FlushReason, StallKind};
+    use pbm_types::{
+        BankId, CoreId, Cycle, EpochId, EpochPhase, EpochTag, FlushReason, McId, StallKind,
+    };
+    use proptest::prelude::*;
 
     fn lifecycle(core: u32, epoch: u64, t0: u64) -> Vec<TraceEvent> {
         let tag = EpochTag::new(CoreId::new(core), EpochId::new(epoch));
@@ -815,23 +942,94 @@ mod tests {
     #[test]
     fn ids_render_as_their_display() {
         let mut w = Writer {
-            out: io::sink(),
-            line: Vec::new(),
+            buf: String::new(),
             first: true,
+            spill: |_: &mut String| Ok(()),
         };
-        let tag = EpochTag::new(CoreId::new(31), EpochId::new(1_234_567));
         for node in [
             NodeId::Core(CoreId::new(0)),
             NodeId::Bank(BankId::new(17)),
-            NodeId::Mc(pbm_types::McId::new(3)),
+            NodeId::Mc(McId::new(3)),
         ] {
-            w.line.clear();
+            w.buf.clear();
             w.node(node);
-            assert_eq!(w.line, node.to_string().as_bytes());
+            assert_eq!(w.buf, node.to_string());
         }
-        w.line.clear();
-        w.tag(tag).text(" ").num(0).text(" ").num(u64::MAX);
-        assert_eq!(w.line, format!("{tag} 0 {}", u64::MAX).as_bytes());
+        let tag = EpochTag::new(CoreId::new(31), EpochId::new(1_234_567));
+        w.buf.clear();
+        w.tag(tag);
+        assert_eq!(w.buf, tag.to_string());
+        // Every digit count, at both ends.
+        let mut numbers = vec![0, u64::MAX];
+        for power in (0..20).map(|e| 10u64.pow(e)) {
+            numbers.extend([power - 1, power, power + 1, power + power / 2]);
+        }
+        for n in numbers {
+            w.buf.clear();
+            w.num(n);
+            assert_eq!(w.buf, n.to_string());
+        }
+    }
+
+    #[test]
+    fn noc_threads_are_numbered_by_class() {
+        let send = |cycle, class| {
+            TraceEvent::new(
+                Cycle::new(cycle),
+                TraceEventKind::NocSend {
+                    src: NodeId::Bank(BankId::new(1)),
+                    dst: NodeId::Mc(McId::new(0)),
+                    class,
+                    arrival: Cycle::new(cycle + 9),
+                },
+            )
+        };
+        let events = [
+            send(5, MessageClass::Writeback),
+            send(6, MessageClass::Control),
+        ];
+        let items = parsed_events(&export_chrome_trace(&events, &[]));
+        let noc = |ph: &str| -> Vec<(u64, String)> {
+            items
+                .iter()
+                .filter(|e| e.get("pid").and_then(JsonValue::as_u64) == Some(PID_NOC))
+                .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some(ph))
+                .filter_map(|e| {
+                    let tid = e.get("tid")?.as_u64()?;
+                    let args = e.get("args")?;
+                    let name = args.get("name").or(args.get("class"))?.as_str()?;
+                    Some((tid, name.to_string()))
+                })
+                .collect()
+        };
+        assert_eq!(
+            noc("M"),
+            [
+                (0, "vnet control".to_string()),
+                (2, "vnet writeback".to_string())
+            ]
+        );
+        assert_eq!(
+            noc("i"),
+            [(2, "writeback".to_string()), (0, "control".to_string())]
+        );
+    }
+
+    #[test]
+    fn radix_sort_is_stable_by_ts_then_kind() {
+        let kinds = [Kind::Counter, Kind::Event, Kind::Persist, Kind::Exec];
+        let mut records: Vec<_> = (0..4000usize)
+            .map(|i| {
+                let ts = (i as u64 * 7919 % 61) << (i % 3 * 31);
+                Record::new(ts, kinds[i % 4], i)
+            })
+            .collect();
+        let mut want = records.clone();
+        want.sort_by_key(|r| (r.ts, r.kind as u8));
+        radix_sort(&mut records);
+        let order = |v: &[Record]| v.iter().map(|r| (r.ts, r.index)).collect::<Vec<_>>();
+        assert_eq!(order(&records), order(&want));
+        radix_sort(&mut Vec::new());
     }
 
     /// Accepts `budget` bytes, then fails every write.
@@ -856,12 +1054,326 @@ mod tests {
         let mut events = lifecycle(0, 1, 100);
         events.extend(lifecycle(1, 1, 120));
         let full = export_chrome_trace(&events, &[]).len();
-        for budget in [0, 40, full / 2, full - 1] {
+        for budget in 0..full {
             let err = write_chrome_trace(FailsAfter(budget), &events, &[])
                 .expect_err("the writer fails before the document ends");
             assert_eq!(err.to_string(), "device full", "budget {budget}");
         }
         write_chrome_trace(FailsAfter(full), &events, &[]).expect("exactly enough room");
+    }
+
+    #[test]
+    fn a_document_of_many_chunks_streams_the_reference_bytes() {
+        let (events, samples) = stream_of(&mut Rng(7), 1 << 32, 6000, 40);
+        let full = assert_matches_reference(&events, &samples);
+        assert!(full > 4 * CHUNK, "{full} bytes");
+        for budget in [
+            0,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            3 * CHUNK,
+            full / 2,
+            full - 1,
+        ] {
+            let err = write_chrome_trace(FailsAfter(budget), &events, &samples)
+                .expect_err("the writer fails before the document ends");
+            assert_eq!(err.to_string(), "device full", "budget {budget}");
+        }
+        write_chrome_trace(FailsAfter(full), &events, &samples).expect("exactly enough room");
+    }
+
+    /// Checks that both exporters write the reference exporter's bytes,
+    /// and returns their length.
+    fn assert_matches_reference(events: &[TraceEvent], samples: &[MetricSample]) -> usize {
+        let mut want = Vec::new();
+        reference::write_chrome_trace(&mut want, events, samples).expect("write to a Vec");
+        let mut streamed = Vec::new();
+        write_chrome_trace(&mut streamed, events, samples).expect("write to a Vec");
+        let exported = export_chrome_trace(events, samples);
+        for (name, got) in [
+            ("streamed", &streamed[..]),
+            ("exported", exported.as_bytes()),
+        ] {
+            if got != want {
+                let at = (0..)
+                    .zip(got.iter().zip(&want))
+                    .find_map(|(i, (a, b))| (a != b).then_some(i))
+                    .unwrap_or(got.len().min(want.len()));
+                let around = |bytes: &[u8]| {
+                    let from = at.saturating_sub(80);
+                    String::from_utf8_lossy(&bytes[from..(at + 80).min(bytes.len())]).into_owned()
+                };
+                panic!(
+                    "{name} document differs from the reference at byte {at}:\n{}\nwant:\n{}",
+                    around(got),
+                    around(&want)
+                );
+            }
+        }
+        want.len()
+    }
+
+    /// SplitMix64, for the random streams.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// Loop-clock origins: zero, small, either side of 2^32, and high
+    /// enough that `ts << 2` needs more than 64 bits.
+    const BASES: [u64; 5] = [0, 1_000, (1 << 32) - 7, (1 << 40) + 3, 1 << 63];
+
+    /// A random stream: up to 150 events (none in about one stream of
+    /// ten) and up to 7 samples (none in about one of four).
+    fn stream(seed: u64) -> (Vec<TraceEvent>, Vec<MetricSample>) {
+        let mut rng = Rng(seed);
+        let base = rng.pick(&BASES);
+        let events = if rng.below(10) == 0 {
+            0
+        } else {
+            1 + rng.below(150)
+        };
+        let samples = if rng.below(4) == 0 {
+            0
+        } else {
+            1 + rng.below(7)
+        };
+        stream_of(&mut rng, base, events as usize, samples as usize)
+    }
+
+    /// `n` events around a loop clock that starts at `base` and moves on a
+    /// cycle after about every third event. One event in five is stamped
+    /// up to 20 cycles ahead of the clock, as the flush cascade stamps its
+    /// steps. Small id ranges make epochs, banks and equal cycles recur.
+    /// The `m` samples fall at sorted cycles from `base` to 30 past the
+    /// clock's end.
+    fn stream_of(
+        rng: &mut Rng,
+        base: u64,
+        n: usize,
+        m: usize,
+    ) -> (Vec<TraceEvent>, Vec<MetricSample>) {
+        let mut clock = base;
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            clock += u64::from(rng.below(3) == 0);
+            let cycle = if rng.below(5) == 0 {
+                clock + 1 + rng.below(20)
+            } else {
+                clock
+            };
+            events.push(TraceEvent::new(Cycle::new(cycle), random_kind(rng, cycle)));
+        }
+        let mut cycles: Vec<u64> = (0..m)
+            .map(|_| base + rng.below(clock - base + 31))
+            .collect();
+        cycles.sort_unstable();
+        let samples = cycles
+            .into_iter()
+            .map(|cycle| MetricSample {
+                cycle: Cycle::new(cycle),
+                mc_queue_depth: rng.below(100),
+                stalled_cores: rng.below(5) as u32,
+                nvram_writes: rng.next() >> rng.below(64),
+                ..MetricSample::default()
+            })
+            .collect();
+        (events, samples)
+    }
+
+    /// An event of a random kind at `cycle`, with small ids. A third of the
+    /// stall ends waited longer than `cycle`.
+    fn random_kind(rng: &mut Rng, cycle: u64) -> TraceEventKind {
+        let core = CoreId::new(rng.below(4) as u32);
+        let epoch = EpochId::new(rng.below(6));
+        let tag = EpochTag::new(core, epoch);
+        let other = EpochTag::new(CoreId::new(rng.below(4) as u32), EpochId::new(rng.below(6)));
+        let bank = BankId::new(rng.below(4) as u32);
+        let reason = rng.pick(&[
+            FlushReason::Conflict,
+            FlushReason::Eviction,
+            FlushReason::Proactive,
+            FlushReason::BackPressure,
+            FlushReason::Barrier,
+            FlushReason::Drain,
+        ]);
+        let kind = rng.pick(&[StallKind::OnlinePersist, StallKind::Barrier]);
+        let later = |rng: &mut Rng| Cycle::new(cycle + rng.below(50));
+        let node = |rng: &mut Rng| match rng.below(3) {
+            0 => NodeId::Core(CoreId::new(rng.below(4) as u32)),
+            1 => NodeId::Bank(BankId::new(rng.below(4) as u32)),
+            _ => NodeId::Mc(McId::new(rng.below(2) as u32)),
+        };
+        match rng.below(18) {
+            phase @ 0..=3 => TraceEventKind::EpochPhase {
+                tag,
+                phase: [
+                    EpochPhase::Ongoing,
+                    EpochPhase::Completed,
+                    EpochPhase::Flushing,
+                    EpochPhase::Persisted,
+                ][phase as usize],
+            },
+            4 => TraceEventKind::FlushRequested { tag, reason },
+            5 => TraceEventKind::FlushEpoch { tag, reason },
+            6 => TraceEventKind::BankFlushStart {
+                tag,
+                bank,
+                cmd_at: later(rng),
+                wb_at: later(rng),
+                log_at: later(rng),
+                chk_at: later(rng),
+                lines: rng.next() as u32 >> rng.below(32),
+            },
+            7 => TraceEventKind::PersistWrite {
+                tag,
+                bank,
+                mc: McId::new(rng.below(2) as u32),
+                mc_at: later(rng),
+                begin: later(rng),
+                durable: later(rng),
+                ack_at: later(rng),
+            },
+            8 => TraceEventKind::BankAck { tag, bank },
+            9 => TraceEventKind::PersistCmp { tag },
+            10 => TraceEventKind::IdtRecord {
+                source: other,
+                dependent: tag,
+            },
+            11 => TraceEventKind::IdtOverflow {
+                source: other,
+                dependent: tag,
+            },
+            12 => TraceEventKind::DeadlockSplit { core, epoch },
+            13 => TraceEventKind::ConflictIntra { core, epoch },
+            14 => TraceEventKind::ConflictInter {
+                source: other,
+                dependent: tag,
+            },
+            15 => TraceEventKind::StallBegin { core, kind, tag },
+            16 => TraceEventKind::StallEnd {
+                core,
+                kind,
+                waited: Cycle::new(if rng.below(3) == 0 {
+                    cycle + 1 + rng.below(10)
+                } else {
+                    rng.below(40)
+                }),
+            },
+            _ => TraceEventKind::NocSend {
+                src: node(rng),
+                dst: node(rng),
+                class: rng.pick(&[
+                    MessageClass::Control,
+                    MessageClass::Data,
+                    MessageClass::Writeback,
+                ]),
+                arrival: later(rng),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_export_matches_the_reference(seed in any::<u64>()) {
+            let (events, samples) = stream(seed);
+            assert_matches_reference(&events, &samples);
+        }
+    }
+
+    /// Position of `kind`'s variant in the declaration of
+    /// [`TraceEventKind`].
+    fn variant(kind: &TraceEventKind) -> usize {
+        match kind {
+            TraceEventKind::EpochPhase { .. } => 0,
+            TraceEventKind::FlushRequested { .. } => 1,
+            TraceEventKind::FlushEpoch { .. } => 2,
+            TraceEventKind::BankFlushStart { .. } => 3,
+            TraceEventKind::PersistWrite { .. } => 4,
+            TraceEventKind::BankAck { .. } => 5,
+            TraceEventKind::PersistCmp { .. } => 6,
+            TraceEventKind::IdtRecord { .. } => 7,
+            TraceEventKind::IdtOverflow { .. } => 8,
+            TraceEventKind::DeadlockSplit { .. } => 9,
+            TraceEventKind::ConflictIntra { .. } => 10,
+            TraceEventKind::ConflictInter { .. } => 11,
+            TraceEventKind::StallBegin { .. } => 12,
+            TraceEventKind::StallEnd { .. } => 13,
+            TraceEventKind::NocSend { .. } => 14,
+        }
+    }
+
+    /// The random streams reach every case the exporter must order or
+    /// clamp, and each such stream matches the reference.
+    #[test]
+    fn the_random_streams_cover_every_case() {
+        let mut kinds = [false; 15];
+        let mut cases = BTreeMap::new();
+        for seed in 0..256 {
+            let (events, samples) = stream(seed);
+            assert_matches_reference(&events, &samples);
+            let layout = Layout::scan(&events, &samples);
+            let last = events.iter().map(|e| e.cycle).max();
+            let mut seen =
+                |case: &'static str, hit: bool| *cases.entry(case).or_insert(false) |= hit;
+            for ev in &events {
+                kinds[variant(&ev.kind)] = true;
+            }
+            seen(
+                "ties across all four record kinds",
+                layout.records.chunk_by(|a, b| a.ts == b.ts).any(|tie| {
+                    [Kind::Exec, Kind::Persist, Kind::Event, Kind::Counter]
+                        .iter()
+                        .all(|&k| tie.iter().any(|r| r.kind == k))
+                }),
+            );
+            seen(
+                "an event stamped ahead of the loop clock",
+                events.windows(2).any(|w| w[0].cycle > w[1].cycle),
+            );
+            seen(
+                "a stall longer than its end cycle",
+                events.iter().any(|e| {
+                    matches!(e.kind, TraceEventKind::StallEnd { waited, .. } if waited > e.cycle)
+                }),
+            );
+            seen(
+                "samples after the last event",
+                samples.last().map(|s| s.cycle) > last && last.is_some(),
+            );
+            seen(
+                "an epoch that never persists",
+                layout.lives.iter().any(|(_, life)| {
+                    life.persisted_at.is_none() && life.completed_at.or(life.flushing_at).is_some()
+                }),
+            );
+            seen(
+                "a ts above 2^32",
+                last.is_some_and(|c| c.as_u64() > 1 << 32),
+            );
+            seen("an empty input", events.is_empty() && samples.is_empty());
+        }
+        assert!(kinds.iter().all(|&k| k), "event kinds seen: {kinds:?}");
+        let missed: Vec<_> = cases.iter().filter(|(_, &hit)| !hit).collect();
+        assert!(missed.is_empty(), "never generated: {missed:?}");
     }
 
     #[test]
